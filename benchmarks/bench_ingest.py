@@ -12,8 +12,7 @@ parser entirely.  This bench measures statements/sec through
 * **warm vs cold on a realistic workload** — a 250k-statement US-Bank-
   like log (>90% template repetition): the cached path must be ≥5×
   the cold parse path, and the resulting ``QueryLog`` must be
-  byte-identical (matrix, counts, vocabulary order) on both
-  containment backends.
+  byte-identical (matrix, counts, vocabulary order).
 * **adversarial low-repetition workload** — every statement a fresh
   template, so the cache never hits: the fast path must not cost more
   than a bounded constant factor (fingerprinting is ~12× cheaper than
@@ -60,11 +59,10 @@ SEED_SLICE = 20_000
 EQUALITY_SLICE = 8_000
 
 
-def _seeded_ingestor(seed_statements, parse_cache: bool, backend: str = "packed"):
+def _seeded_ingestor(seed_statements, parse_cache: bool):
     """A profile compressed from *seed_statements*, ready to ingest."""
     log, _ = load_log(seed_statements, parse_cache=parse_cache)
-    log = log.with_backend(backend)
-    compressed = LogRCompressor(n_clusters=8, seed=0, backend=backend).compress(log)
+    compressed = LogRCompressor(n_clusters=8, seed=0).compress(log)
     return IncrementalIngestor(
         compressed,
         log,
@@ -209,21 +207,17 @@ def run_equality_check(total: int = EQUALITY_SLICE) -> None:
     )
     statements = list(workload.statements(shuffle=True, seed=1))
     seed_statements, traffic = statements[: total // 4], statements[total // 4 :]
-    for backend in ("packed", "dense"):
-        results = {}
-        for cached in (True, False):
-            ingestor = _seeded_ingestor(
-                seed_statements, parse_cache=cached, backend=backend
-            )
-            ingestor.ingest_statements(traffic)
-            results[cached] = ingestor
-        warm_log, cold_log = results[True].log, results[False].log
-        assert np.array_equal(warm_log.matrix, cold_log.matrix), backend
-        assert np.array_equal(warm_log.counts, cold_log.counts), backend
-        assert list(warm_log.vocabulary) == list(cold_log.vocabulary), backend
-        assert results[True].compressed.error == results[False].compressed.error
-    print("equality: cached == cold (matrix, counts, vocabulary, Error) "
-          "on packed and dense")
+    results = {}
+    for cached in (True, False):
+        ingestor = _seeded_ingestor(seed_statements, parse_cache=cached)
+        ingestor.ingest_statements(traffic)
+        results[cached] = ingestor
+    warm_log, cold_log = results[True].log, results[False].log
+    assert np.array_equal(warm_log.matrix, cold_log.matrix)
+    assert np.array_equal(warm_log.counts, cold_log.counts)
+    assert list(warm_log.vocabulary) == list(cold_log.vocabulary)
+    assert results[True].compressed.error == results[False].compressed.error
+    print("equality: cached == cold (matrix, counts, vocabulary, Error)")
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Microbenchmark: packed-bitset kernels, dense reference, compiled tier.
+"""Microbenchmark: packed-bitset kernels vs the dense reference scans.
 
 The summarizer's hot path is pattern containment: `pattern_marginal`
 per mined pattern, and level-wise support counting inside the Apriori
@@ -6,12 +6,15 @@ miner.  This bench times both operations on TPC-H-like and SDSS-like
 workloads (constants kept, so every parameter variant is a distinct
 query — the shape where scan cost actually bites) and asserts
 
-* bit-exact agreement between every backend pair,
-* the ≥5× speedup target for the packed kernels over dense, and
-* the compiled (numba) tier's speedup over packed on the batch
-  kernels — ≥2× in smoke mode, ≥3× at full scale on ≥4 cores.  When
-  numba is not installed the compiled leg is skipped cleanly (the
-  fallback alias is still checked for exactness).
+* bit-exact agreement between the packed kernels and the dense
+  reference, and
+* the ≥5× speedup target for the packed kernels over dense.
+
+The dense side is a bench-local copy of the dense formulas the library
+used before the packed kernels became its only containment path: one
+``Pattern.matches`` row scan per pattern for marginals, and Apriori
+levels (same candidate generator) with per-candidate dense supports
+for mining.
 
 Run with::
 
@@ -30,10 +33,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import kernels, kernels_compiled
-from repro.core.executor import available_jobs
-from repro.core.kernels_compiled import HAVE_NUMBA
-from repro.core.mining import frequent_patterns
+from repro.core.mining import _generate_candidates, frequent_patterns
+from repro.core.pattern import Pattern
 from repro.workloads.sdss import generate_sdss
 from repro.workloads.tpch import generate_tpch
 
@@ -47,9 +48,6 @@ MAX_SIZE = 3
 REPS = 5
 #: packed-over-dense gate (unchanged from the original bench).
 SPEEDUP_TARGET = 5.0
-#: compiled-over-packed gates on the batch kernels.
-COMPILED_SMOKE_TARGET = 2.0
-COMPILED_FULL_TARGET = 3.0
 
 #: Full-scale workload sizes (pytest / slow CI).
 TPCH_TOTAL = 240_000
@@ -85,6 +83,51 @@ def sdss_log():
     return make_sdss_log()
 
 
+def dense_marginal(log, pattern: Pattern) -> float:
+    """``p(Q ⊇ b | L)`` by a dense row scan plus a weighted sum."""
+    return int(log.counts[pattern.matches(log.matrix)].sum()) / log.total
+
+
+def dense_frequent_patterns(log, min_support: float, max_size: int):
+    """Weighted Apriori with dense supports (the miner's old dense path).
+
+    Integer count arithmetic keeps supports exact: a query contains an
+    itemset iff the row-wise min over its columns is 1, so the weighted
+    support is an integer dot product divided once by |L|.
+    """
+    counts, total = log.counts, log.total
+    dense_matrix = log.matrix.astype(np.int64)
+    marginals = (counts @ dense_matrix) / total
+    frequent_items = np.flatnonzero(marginals >= min_support)
+    level_items = frequent_items[:, None].astype(np.int64)
+    level_supports = marginals[frequent_items]
+    results = [
+        (Pattern(row), float(support))
+        for row, support in zip(level_items, level_supports)
+    ]
+    size = 1
+    while level_items.shape[0] and size < max_size:
+        size += 1
+        candidates = _generate_candidates(level_items, log.n_features)
+        if candidates.shape[0] == 0:
+            break
+        supports = np.array(
+            [
+                float(counts @ dense_matrix[:, list(items)].min(axis=1)) / total
+                for items in candidates
+            ]
+        )
+        keep = supports >= min_support
+        level_items = candidates[keep]
+        level_supports = supports[keep]
+        results.extend(
+            (Pattern(row), float(support))
+            for row, support in zip(level_items, level_supports)
+        )
+    results.sort(key=lambda pair: (-pair[1], len(pair[0])))
+    return results
+
+
 def _time(fn, reps=REPS) -> tuple[float, object]:
     best = float("inf")
     result = None
@@ -97,26 +140,24 @@ def _time(fn, reps=REPS) -> tuple[float, object]:
 
 def run_packed_vs_dense(name: str, log, reps: int = REPS) -> list[list]:
     """Rows of [workload, op, patterns, distinct, packed ms, dense ms, x]."""
-    packed = log.with_backend("packed")
-    dense = log.with_backend("dense")
-    patterns = [p for p, _ in frequent_patterns(packed, MIN_SUPPORT, MAX_SIZE)]
-    packed.packed_columns  # pre-build the caches outside the timed region
-    packed._byte_tally
+    patterns = [p for p, _ in frequent_patterns(log, MIN_SUPPORT, MAX_SIZE)]
+    log.packed_columns  # pre-build the caches outside the timed region
+    log._byte_tally
 
-    t_packed, got_packed = _time(lambda: packed.pattern_marginals(patterns), reps)
+    t_packed, got_packed = _time(lambda: log.pattern_marginals(patterns), reps)
     t_dense, got_dense = _time(
-        lambda: np.array([dense.pattern_marginal(p) for p in patterns]), reps
+        lambda: np.array([dense_marginal(log, p) for p in patterns]), reps
     )
-    assert np.array_equal(got_packed, got_dense), "backends disagree on marginals"
+    assert np.array_equal(got_packed, got_dense), "marginals disagree"
     marginal_speedup = t_dense / t_packed
 
     m_packed, mined_packed = _time(
-        lambda: frequent_patterns(packed, MIN_SUPPORT, MAX_SIZE), reps
+        lambda: frequent_patterns(log, MIN_SUPPORT, MAX_SIZE), reps
     )
     m_dense, mined_dense = _time(
-        lambda: frequent_patterns(dense, MIN_SUPPORT, MAX_SIZE), reps
+        lambda: dense_frequent_patterns(log, MIN_SUPPORT, MAX_SIZE), reps
     )
-    assert mined_packed == mined_dense, "backends disagree on mined patterns"
+    assert mined_packed == mined_dense, "mined patterns disagree"
     mining_speedup = m_dense / m_packed
 
     return [
@@ -127,107 +168,30 @@ def run_packed_vs_dense(name: str, log, reps: int = REPS) -> list[list]:
     ]
 
 
-def run_compiled_vs_packed(
-    name: str, log, reps: int = REPS
-) -> list[list] | None:
-    """Compiled-tier rows, or ``None`` when numba is unavailable.
-
-    Times the two batch kernels the JIT tier replaces — vertical
-    ``support_counts`` and horizontal ``contains_many`` — on the same
-    mined-pattern batch as the reference legs, asserting bit-exact
-    agreement first.
-    """
-    packed = log.with_backend("packed")
-    if not HAVE_NUMBA:
-        # The alias must still be exact (covered by tests too, but a
-        # bench that silently skipped equivalence would be a trap).
-        probe = [p for p, _ in frequent_patterns(packed, MIN_SUPPORT, 2)][:32]
-        index_lists = [p.indices for p in probe]
-        assert np.array_equal(
-            kernels_compiled.support_counts(
-                packed.packed_columns, packed._byte_tally, index_lists
-            ),
-            kernels.support_counts(
-                packed.packed_columns, packed._byte_tally, index_lists
-            ),
-        )
-        return None
-
-    patterns = [p for p, _ in frequent_patterns(packed, MIN_SUPPORT, MAX_SIZE)]
-    index_lists = [p.indices for p in patterns]
-    packed_patterns = kernels.pack_patterns(index_lists, log.n_features)
-    columns, tally = packed.packed_columns, packed._byte_tally
-    rows = packed.packed
-    kernels_compiled.warm_up()  # JIT compilation stays outside the timings
-
-    t_ref, got_ref = _time(
-        lambda: kernels.support_counts(columns, tally, index_lists), reps
-    )
-    t_jit, got_jit = _time(
-        lambda: kernels_compiled.support_counts(columns, tally, index_lists), reps
-    )
-    assert np.array_equal(got_ref, got_jit), "compiled support_counts disagrees"
-
-    c_ref, mask_ref = _time(
-        lambda: kernels.contains_many(rows, packed_patterns), reps
-    )
-    c_jit, mask_jit = _time(
-        lambda: kernels_compiled.contains_many(rows, packed_patterns), reps
-    )
-    assert np.array_equal(mask_ref, mask_jit), "compiled contains_many disagrees"
-
-    return [
-        [name, "support_counts", len(patterns), log.n_distinct,
-         t_jit * 1e3, t_ref * 1e3, t_ref / t_jit],
-        [name, "contains_many", len(patterns), log.n_distinct,
-         c_jit * 1e3, c_ref * 1e3, c_ref / c_jit],
-    ]
-
-
-def _record(rows: list[list], compiled_rows: list[list] | None, **extra) -> None:
+def _record(rows: list[list], **extra) -> None:
     timings = {}
     for row in rows:
         timings[f"{row[0]}_{row[1]}_packed_ms"] = row[4]
         timings[f"{row[0]}_{row[1]}_dense_ms"] = row[5]
         timings[f"{row[0]}_{row[1]}_speedup"] = row[6]
-    for row in compiled_rows or []:
-        timings[f"{row[0]}_{row[1]}_compiled_ms"] = row[4]
-        timings[f"{row[0]}_{row[1]}_reference_ms"] = row[5]
-        timings[f"{row[0]}_{row[1]}_compiled_speedup"] = row[6]
-    record_bench(
-        "kernels", timings, have_numba=HAVE_NUMBA, jobs=available_jobs(), **extra
-    )
+    record_bench("kernels", timings, **extra)
 
 
-def _assert_targets(
-    rows: list[list], compiled_rows: list[list] | None, compiled_target: float
-) -> None:
+def _assert_targets(rows: list[list]) -> None:
     for row in rows:
         assert row[-1] >= SPEEDUP_TARGET, (
             f"{row[0]} {row[1]}: packed speedup {row[-1]:.1f}x "
             f"below the {SPEEDUP_TARGET:.0f}x target"
         )
-    for row in compiled_rows or []:
-        assert row[-1] >= compiled_target, (
-            f"{row[0]} {row[1]}: compiled speedup {row[-1]:.1f}x "
-            f"below the {compiled_target:.1f}x target"
-        )
 
 
-def _print_tables(rows: list[list], compiled_rows: list[list] | None) -> None:
+def _print_table(rows: list[list]) -> None:
     print_table(
         "Bench kernels: packed-bitset vs dense containment",
         ["workload", "operation", "patterns", "distinct", "packed ms",
          "dense ms", "speedup"],
         rows,
     )
-    if compiled_rows:
-        print_table(
-            "Bench kernels: compiled (numba) vs packed batch kernels",
-            ["workload", "operation", "patterns", "distinct", "compiled ms",
-             "packed ms", "speedup"],
-            compiled_rows,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -237,13 +201,9 @@ def test_kernel_speedup(tpch_log, sdss_log):
     rows = run_packed_vs_dense("tpch", tpch_log) + run_packed_vs_dense(
         "sdss", sdss_log
     )
-    compiled_rows = run_compiled_vs_packed("tpch", tpch_log)
-    _print_tables(rows, compiled_rows)
-    _record(rows, compiled_rows, mode="full")
-    # The full-scale compiled gate is calibrated for parallel prange:
-    # only hold it to the 3x bar when the machine has the cores.
-    target = COMPILED_FULL_TARGET if available_jobs() >= 4 else COMPILED_SMOKE_TARGET
-    _assert_targets(rows, compiled_rows, target)
+    _print_table(rows)
+    _record(rows, mode="full")
+    _assert_targets(rows)
 
 
 # ----------------------------------------------------------------------
@@ -251,37 +211,23 @@ def test_kernel_speedup(tpch_log, sdss_log):
 # ----------------------------------------------------------------------
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    smoke = "--smoke" in argv
-    if smoke:
+    if "--smoke" in argv:
         log = make_tpch_log(total=SMOKE_TPCH_TOTAL, variants=SMOKE_TPCH_VARIANTS)
         rows = run_packed_vs_dense("tpch", log, reps=3)
-        compiled_rows = run_compiled_vs_packed("tpch", log, reps=3)
-        target = COMPILED_SMOKE_TARGET
         mode = "smoke"
     else:
-        log = make_tpch_log()
-        rows = run_packed_vs_dense("tpch", log) + run_packed_vs_dense(
+        rows = run_packed_vs_dense("tpch", make_tpch_log()) + run_packed_vs_dense(
             "sdss", make_sdss_log()
         )
-        compiled_rows = run_compiled_vs_packed("tpch", log)
-        target = (
-            COMPILED_FULL_TARGET if available_jobs() >= 4 else COMPILED_SMOKE_TARGET
-        )
         mode = "full"
-    _print_tables(rows, compiled_rows)
-    _record(rows, compiled_rows, mode=mode)
-    _assert_targets(rows, compiled_rows, target)
-    if compiled_rows is None:
-        print(
-            "bench kernels: PASS (packed vs dense; compiled leg skipped — "
-            "numba not installed, fallback alias verified exact)"
-        )
-    else:
-        worst = min(row[-1] for row in compiled_rows)
-        print(
-            f"bench kernels: PASS (packed vs dense; compiled >={worst:.1f}x "
-            f"packed, target {target:.1f}x)"
-        )
+    _print_table(rows)
+    _record(rows, mode=mode)
+    _assert_targets(rows)
+    worst = min(row[-1] for row in rows)
+    print(
+        f"bench kernels: PASS (packed >={worst:.1f}x dense, "
+        f"target {SPEEDUP_TARGET:.0f}x)"
+    )
     return 0
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 
 import numpy as np
 import pytest
@@ -100,14 +102,15 @@ def record_bench(name: str, timings: dict, **extra) -> None:
 
     One schema for every ``bench_*.py`` module, so CI can collect the
     files as artifacts and runs stay diffable across commits:
-    ``format`` / ``name`` / ``git_rev`` (from ``GITHUB_SHA`` when CI
-    sets it) / ``timings`` (flat str→float map — seconds, rates, or
-    factors, named explicitly) plus any *extra* context fields.
+    ``format`` / ``name`` / provenance (``git_rev``, ``git_dirty``,
+    ``cpu_count``, ``python``, ``numpy``) / ``timings`` (flat
+    str→float map — seconds, rates, or factors, named explicitly) plus
+    any *extra* context fields.
     """
     payload = {
         "format": BENCH_FORMAT,
         "name": name,
-        "git_rev": os.environ.get("GITHUB_SHA", "unknown"),
+        **_provenance(),
         "timings": {key: float(value) for key, value in timings.items()},
         **extra,
     }
@@ -126,3 +129,37 @@ def _fmt(cell) -> str:
     if isinstance(cell, (np.floating,)):
         return _fmt(float(cell))
     return str(cell)
+
+
+def _provenance() -> dict:
+    """Where a record was taken: commit, tree state, machine, versions.
+
+    The commit is ``GITHUB_SHA`` when CI sets it, else ``git rev-parse
+    HEAD``; ``git_dirty`` flags uncommitted changes outside
+    ``results/`` (which every bench run rewrites).  Both are
+    ``"unknown"`` / ``None`` outside a git checkout.
+    """
+    root = RESULTS_DIR.parent.parent
+    rev, dirty = os.environ.get("GITHUB_SHA"), None
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=root, capture_output=True, text=True, timeout=10,
+        )
+        if head.returncode == 0:
+            rev = rev or head.stdout.strip()
+            status = subprocess.run(
+                ["git", "status", "--porcelain", "--", ".",
+                 f":!{RESULTS_DIR.relative_to(root)}"],
+                cwd=root, capture_output=True, text=True, timeout=10,
+            )
+            dirty = bool(status.stdout.strip()) if status.returncode == 0 else None
+    except (OSError, subprocess.TimeoutExpired):
+        pass
+    return {
+        "git_rev": rev or "unknown",
+        "git_dirty": dirty,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }

@@ -3,7 +3,7 @@
 The determinism-bearing layers (``core/``, ``cluster/``, ``baselines/``,
 ``sql/``) must never read the wall clock directly — a timestamp that
 leaks into summary *content* makes artifacts differ run to run, which
-breaks the backend/worker-count bit-identity guarantees the property
+breaks the executor/worker-count bit-identity guarantees the property
 tests witness.  ``reprolint`` rule DET02 enforces that statically.
 
 Duration *telemetry* is still wanted (``CompressedLog.build_seconds``,

@@ -32,9 +32,9 @@ import numpy as np
 
 from .._clock import Stopwatch
 from .._rng import ensure_rng
-from ..core import kernels, kernels_compiled
+from ..core import kernels
 from ..core.entropy import bernoulli_entropy
-from ..core.log import BACKENDS, QueryLog
+from ..core.log import QueryLog
 from ..core.pattern import Pattern
 
 __all__ = [
@@ -100,9 +100,6 @@ class Laserlight:
         max_features: optional cap re-imposing the 100-argument limit;
             features are selected by entropy (Appendix D.1).
         max_pattern_size: largest candidate pattern (in features).
-        backend: containment backend (``packed`` bitset kernels, the
-            optional ``compiled`` numba tier, or the ``dense``
-            reference scan); results are bit-identical.
         seed: RNG seed or generator.
     """
 
@@ -112,18 +109,14 @@ class Laserlight:
         n_samples: int = 16,
         max_features: int | None = 100,
         max_pattern_size: int = 3,
-        backend: str = "packed",
         seed: int | np.random.Generator | None = None,
     ):
         if n_patterns < 0:
             raise ValueError("n_patterns must be non-negative")
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.n_patterns = n_patterns
         self.n_samples = n_samples
         self.max_features = max_features
         self.max_pattern_size = max_pattern_size
-        self.backend = backend
         self._rng = ensure_rng(seed)
 
     def fit(self, log: QueryLog, outcomes: np.ndarray) -> LaserlightSummary:
@@ -143,7 +136,7 @@ class Laserlight:
         if self.max_features is not None and log.n_features > self.max_features:
             feature_subset = top_entropy_features(log, self.max_features)
             matrix = matrix[:, feature_subset]
-        cover = _Containment(matrix, self.backend)
+        cover = _Containment(matrix)
 
         total_weight = weights.sum()
         global_rate = float((weights * outcomes).sum() / total_weight)
@@ -243,33 +236,27 @@ class _Containment:
     """Containment oracle over one (possibly column-subset) matrix.
 
     Packs the rows once so every subsequent pattern test is a bitwise
-    AND/compare sweep; falls back to the dense row scan when the
-    ``dense`` backend is selected.
+    AND/compare sweep.
     """
 
-    def __init__(self, matrix: np.ndarray, backend: str):
+    def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
         self.n_features = matrix.shape[1]
-        self._kernels = kernels_compiled.kernel_namespace(backend)
-        self._packed = kernels.pack_rows(matrix) if backend != "dense" else None
+        self._packed = kernels.pack_rows(matrix)
 
     def mask(self, pattern: Pattern) -> np.ndarray:
-        if self._packed is not None:
-            return self._kernels.contains(
-                self._packed, kernels.pack_indices(pattern.indices, self.n_features)
-            )
-        return pattern.matches(self.matrix)
+        return kernels.contains(
+            self._packed, kernels.pack_indices(pattern.indices, self.n_features)
+        )
 
     def masks(self, patterns: list[Pattern]) -> np.ndarray:
         """``(k, m)`` containment masks for a whole summary at once."""
         if not patterns:
             return np.empty((0, self.matrix.shape[0]), dtype=bool)
-        if self._packed is not None:
-            return self._kernels.contains_many(
-                self._packed,
-                kernels.pack_patterns([p.indices for p in patterns], self.n_features),
-            )
-        return np.stack([p.matches(self.matrix) for p in patterns])
+        return kernels.contains_many(
+            self._packed,
+            kernels.pack_patterns([p.indices for p in patterns], self.n_features),
+        )
 
 
 def laserlight_error(

@@ -29,7 +29,7 @@ from .._clock import Stopwatch
 from .._rng import ensure_rng
 from ..core.encoding import PatternEncoding
 from ..core.entropy import bernoulli_entropy, safe_log2
-from ..core.log import BACKENDS, QueryLog
+from ..core.log import QueryLog
 from ..core.maxent import fit_pattern_encoding
 from ..core.mining import frequent_patterns
 from ..core.pattern import Pattern
@@ -73,9 +73,6 @@ class MTV:
             are pruned by the support×divergence heuristic).
         enforce_limit: raise beyond 15 patterns, like the original
             implementation quits.
-        backend: containment backend for the Apriori candidate pool
-            (``packed`` bitset kernels or ``dense``); ``None`` keeps
-            the log's own backend.
         seed: RNG seed or generator (tie-breaking only).
     """
 
@@ -86,7 +83,6 @@ class MTV:
         max_pattern_size: int = 3,
         beam: int = 12,
         enforce_limit: bool = True,
-        backend: str | None = None,
         seed: int | np.random.Generator | None = None,
     ):
         if enforce_limit and n_patterns > MTV_PATTERN_LIMIT:
@@ -94,13 +90,10 @@ class MTV:
                 f"MTV cannot mine more than {MTV_PATTERN_LIMIT} patterns "
                 "(the original implementation quits with an error)"
             )
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.n_patterns = n_patterns
         self.min_support = min_support
         self.max_pattern_size = max_pattern_size
         self.beam = beam
-        self.backend = backend
         self._rng = ensure_rng(seed)
 
     def fit(self, log: QueryLog) -> MtvSummary:
@@ -111,7 +104,6 @@ class MTV:
             min_support=self.min_support,
             max_size=self.max_pattern_size,
             min_size=2,
-            backend=self.backend,
         )
         encoding = PatternEncoding(log.n_features)
         model = fit_pattern_encoding(encoding)

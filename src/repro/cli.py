@@ -58,7 +58,7 @@ from .core.featurecache import DEFAULT_CACHE_SIZE
 from .sql.features import Feature
 from .viz.render import render_mixture
 from .core.colstore import DEFAULT_CHUNK_ROWS
-from .workloads.logio import load_log, load_log_columnar, read_log
+from .workloads.logio import EmptyLogError, load_log, load_log_columnar, read_log
 
 __all__ = ["main", "build_parser"]
 
@@ -308,12 +308,6 @@ def _add_compression_arguments(parser: argparse.ArgumentParser) -> None:
                         choices=["kmeans", "spectral", "hierarchical"])
     parser.add_argument("--metric", default="euclidean")
     parser.add_argument("--keep-constants", action="store_true")
-    parser.add_argument(
-        "--backend", default="packed", choices=["packed", "dense", "compiled"],
-        help="pattern-containment kernel (packed uint64 bitsets, dense scans, "
-        "or the optional numba-compiled tier; 'compiled' falls back to "
-        "'packed' with a warning when numba is absent)",
-    )
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -380,9 +374,12 @@ def main(argv: list[str] | None = None) -> int:
     if handler is None:  # pragma: no cover - argparse enforces the choices
         return 2
     trace_out = getattr(args, "trace_out", None)
-    if trace_out is None:
-        return handler(args)
-    return _run_traced(handler, args, trace_out)
+    try:
+        if trace_out is None:
+            return handler(args)
+        return _run_traced(handler, args, trace_out)
+    except EmptyLogError as exc:  # compress/sweep/stats: nothing to encode
+        raise SystemExit(f"logr {args.command}: {args.log}: {exc}") from None
 
 
 def _run_traced(handler, args, trace_out: Path) -> int:
@@ -437,7 +434,6 @@ def _cmd_compress(args) -> int:
             n_clusters=args.clusters,
             method=args.method,
             metric=args.metric,
-            backend=args.backend,
             consolidate_to=args.consolidate_to,
             jobs=args.jobs,
             executor=args.executor,
@@ -447,8 +443,7 @@ def _cmd_compress(args) -> int:
     else:
         compressor = LogRCompressor(
             n_clusters=args.clusters, method=args.method, metric=args.metric,
-            backend=args.backend, jobs=args.jobs, executor=args.executor,
-            seed=args.seed,
+            jobs=args.jobs, executor=args.executor, seed=args.seed,
         )
         compressed = compressor.compress(log)
     args.output.write_text(compressed.to_json(), encoding="utf-8")
@@ -464,7 +459,7 @@ def _cmd_compress(args) -> int:
         from .service import SummaryStore
 
         if log is None:  # out-of-core encode: materialize once, for the store
-            log = source.to_query_log(backend=args.backend)
+            log = source.to_query_log()
         record = SummaryStore(args.store).save(
             args.profile, compressed, log, note=f"compress {args.log.name}"
         )
@@ -491,7 +486,6 @@ def _cmd_sweep(args) -> int:
         ks,
         method=args.method,
         metric=args.metric,
-        backend=args.backend,
         jobs=args.jobs,
         executor=args.executor,
         seed=args.seed,

@@ -21,7 +21,6 @@ from .executor import (
 )
 from .pipeline import (
     CompressionPipeline,
-    EncodeStage,
     FitStage,
     PartitionStage,
     PipelineResult,
@@ -49,10 +48,10 @@ from .estimate import (
     synthesis_error,
     synthesize_patterns,
 )
-from . import kernels, kernels_compiled
+from . import kernels
 from .colstore import ColumnarLog, ColumnarLogWriter
 from .featurecache import CacheStats, CachedTemplate, FeatureCache, VocabularyCache
-from .log import BACKENDS, LogBuilder, QueryLog
+from .log import LogBuilder, QueryLog
 from .lossless import (
     lossless_encoding,
     point_probability_from_marginals,
@@ -93,9 +92,7 @@ __all__ = [
     "Vocabulary",
     "QueryLog",
     "LogBuilder",
-    "BACKENDS",
     "kernels",
-    "kernels_compiled",
     "ColumnarLog",
     "ColumnarLogWriter",
     "CacheStats",
@@ -157,7 +154,6 @@ __all__ = [
     "resolve_executor",
     "spawn_generators",
     "CompressionPipeline",
-    "EncodeStage",
     "PartitionStage",
     "FitStage",
     "RefineStage",

@@ -425,7 +425,7 @@ class ColumnarLog:
         return out
 
     # -- QueryLog materialization ---------------------------------------
-    def slice_log(self, lo: int, hi: int, backend: str = "packed") -> QueryLog:
+    def slice_log(self, lo: int, hi: int) -> QueryLog:
         """``QueryLog`` over the global row range [lo, hi).
 
         Bit-identical to ``builder.build().subset(np.arange(lo, hi))``:
@@ -444,11 +444,11 @@ class ColumnarLog:
             a = max(lo - start, 0)
             b = min(hi - start, int(self.chunk_sizes[chunk]))
             counts[start + a - lo : start + b - lo] = self.chunk_counts(chunk)[a:b]
-        return QueryLog(self.vocabulary, matrix, counts, backend=backend)
+        return QueryLog(self.vocabulary, matrix, counts)
 
-    def to_query_log(self, backend: str = "packed") -> QueryLog:
+    def to_query_log(self) -> QueryLog:
         """Materialize the whole log in RAM (for logs that fit)."""
-        return self.slice_log(0, self.n_distinct, backend=backend)
+        return self.slice_log(0, self.n_distinct)
 
 
 def remove_runs(directory: str | Path) -> None:

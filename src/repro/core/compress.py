@@ -4,14 +4,13 @@
 :class:`CompressedLog` by running the staged pipeline of
 :mod:`repro.core.pipeline`:
 
-1. **Encode** — pin the containment-kernel backend,
-2. **Partition** — cluster the log's distinct queries (weighted by
+1. **Partition** — cluster the log's distinct queries (weighted by
    multiplicity) with a configurable method/metric (§6.1 —
    KMeans+Euclidean is the fast default, Spectral+Hamming the best
    Error/runtime tradeoff),
-3. **Fit** — one naive encoding per partition (the *naive mixture
+2. **Fit** — one naive encoding per partition (the *naive mixture
    encoding*), fanned out across partitions, and
-4. **Refine** — optionally add high-``corr_rank`` patterns per
+3. **Refine** — optionally add high-``corr_rank`` patterns per
    partition (§6.4 — off by default because the gain is small and
    refined encodings no longer admit closed-form statistics).
 
@@ -40,16 +39,10 @@ from .._clock import Stopwatch
 from .._rng import ensure_rng
 from .colstore import ColumnarLog
 from .executor import Executor, resolve_executor, spawn_generators
-from .log import BACKENDS, QueryLog
+from .log import QueryLog
 from .mixture import PatternMixtureEncoding
 from .pattern import Pattern
-from .pipeline import (
-    CompressionPipeline,
-    EncodeStage,
-    FitStage,
-    PartitionStage,
-    RefineStage,
-)
+from .pipeline import CompressionPipeline, FitStage, PartitionStage, RefineStage
 
 __all__ = [
     "LogRCompressor",
@@ -73,7 +66,6 @@ class CompressedLog:
     metric: str
     build_seconds: float
     refined_patterns: int = 0
-    backend: str = "packed"
 
     # -- measures -------------------------------------------------------
     @property
@@ -101,9 +93,9 @@ class CompressedLog:
         """Serialize the full artifact (no raw log content).
 
         Unlike the mixture-only payload this keeps the provenance the
-        dataclass carries — labels, K, method/metric, build time,
-        refinement count, and the kernel backend — so the artifact
-        round-trips losslessly through :meth:`from_json`.
+        dataclass carries — labels, K, method/metric, build time and
+        refinement count — so the artifact round-trips losslessly
+        through :meth:`from_json`.
         """
         return json.dumps(self.to_payload())
 
@@ -118,6 +110,11 @@ class CompressedLog:
         so v1-only readers fail loudly instead of misparsing the dict;
         :meth:`from_payload` reads both vintages (and the list form
         under either format string).
+
+        ``backend`` is a fixed provenance field: every artifact is
+        built on the packed-bitset kernels, and readers ignore the
+        value (older artifacts may record ``dense`` or ``compiled``,
+        which were bit-identical).
         """
         return {
             "format": "logr-compressed-v2",
@@ -128,7 +125,7 @@ class CompressedLog:
             "metric": self.metric,
             "build_seconds": float(self.build_seconds),
             "refined_patterns": int(self.refined_patterns),
-            "backend": self.backend,
+            "backend": "packed",
         }
 
     @classmethod
@@ -166,7 +163,6 @@ class CompressedLog:
             metric=str(payload["metric"]),
             build_seconds=float(payload["build_seconds"]),
             refined_patterns=int(payload.get("refined_patterns", 0)),
-            backend=str(payload.get("backend", "packed")),
         )
 
     def size_bytes(self) -> int:
@@ -249,11 +245,6 @@ class LogRCompressor:
         n_init: restarts for the clustering step.
         refine_patterns: per-cluster non-naive patterns to add (§6.4).
         min_support / max_pattern_size: Apriori bounds for refinement.
-        backend: pattern-containment backend used by the mining and
-            refinement hot paths — ``packed`` (uint64 bitset kernels,
-            the default) or ``dense`` (reference uint8 scans).  Both
-            are exact; ``dense`` exists as a fallback and for
-            equivalence testing.
         jobs: worker count for the partition-parallel Fit/Refine
             stages; 1 (the default) runs the serial reference loop.
         executor: execution backend — ``"serial"`` | ``"thread"`` |
@@ -273,15 +264,12 @@ class LogRCompressor:
         refine_patterns: int = 0,
         min_support: float = 0.05,
         max_pattern_size: int = 3,
-        backend: str = "packed",
         jobs: int = 1,
         executor: Executor | str | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         if n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.n_clusters = n_clusters
@@ -291,7 +279,6 @@ class LogRCompressor:
         self.refine_patterns = refine_patterns
         self.min_support = min_support
         self.max_pattern_size = max_pattern_size
-        self.backend = backend
         self.jobs = jobs
         self.executor = executor
         self._rng = ensure_rng(seed)
@@ -299,7 +286,6 @@ class LogRCompressor:
     def pipeline(self, executor: Executor) -> CompressionPipeline:
         """The staged pipeline this compressor's parameters describe."""
         return CompressionPipeline(
-            encode=EncodeStage(self.backend),
             partition=PartitionStage(
                 self.n_clusters, self.method, self.metric, self.n_init
             ),
@@ -328,7 +314,6 @@ class LogRCompressor:
             metric=self.metric,
             build_seconds=elapsed,
             refined_patterns=self.refine_patterns,
-            backend=self.backend,
         )
 
     def partition_labels(self, log: QueryLog) -> np.ndarray:
@@ -367,7 +352,6 @@ class _CompressorSpec:
     method: str
     metric: str
     n_init: int
-    backend: str
     rng: np.random.Generator = field(compare=False)
 
     def build(self) -> LogRCompressor:
@@ -376,7 +360,6 @@ class _CompressorSpec:
             method=self.method,
             metric=self.metric,
             n_init=self.n_init,
-            backend=self.backend,
             seed=self.rng,
         )
 
@@ -408,7 +391,6 @@ def compress_sweep(
     method: str = "kmeans",
     metric: str = "euclidean",
     n_init: int = 10,
-    backend: str = "packed",
     jobs: int = 1,
     executor: Executor | str | None = None,
     seed: int | np.random.Generator | None = None,
@@ -433,7 +415,7 @@ def compress_sweep(
     children = spawn_generators(seed, len(ks))
     tasks = [
         (
-            _CompressorSpec(k, method, metric, n_init, backend, child),
+            _CompressorSpec(k, method, metric, n_init, child),
             log,
         )
         for k, child in zip(ks, children)
@@ -453,7 +435,6 @@ def compress_to_error(
     max_clusters: int = 64,
     method: str = "kmeans",
     metric: str = "euclidean",
-    backend: str = "packed",
     n_init: int = 10,
     jobs: int = 1,
     executor: Executor | str | None = None,
@@ -492,9 +473,7 @@ def compress_to_error(
             chunk = rungs[lo : lo + wave]
             tasks = [
                 (
-                    _CompressorSpec(
-                        rung, method, metric, n_init, backend, _fresh_child(seed)
-                    ),
+                    _CompressorSpec(rung, method, metric, n_init, _fresh_child(seed)),
                     log,
                 )
                 for rung in chunk
@@ -518,7 +497,7 @@ def _fresh_child(seed: int | np.random.Generator | None) -> np.random.Generator:
 class _ColumnarShard:
     """Zero-copy shard reference shipped to worker processes.
 
-    Pickles as (path, row range, backend) — a few hundred bytes — and
+    Pickles as (path, row range) — a few hundred bytes — and
     the worker materializes its rows straight from the memmapped
     columnar chunks (:meth:`repro.core.colstore.ColumnarLog.
     slice_log`), so sharded compression of an on-disk log never
@@ -529,10 +508,9 @@ class _ColumnarShard:
     path: str
     lo: int
     hi: int
-    backend: str
 
     def load(self) -> QueryLog:
-        return ColumnarLog(self.path).slice_log(self.lo, self.hi, self.backend)
+        return ColumnarLog(self.path).slice_log(self.lo, self.hi)
 
 
 def _shard_task(
@@ -590,7 +568,6 @@ def compress_sharded(
     method: str = "kmeans",
     metric: str = "euclidean",
     n_init: int = 10,
-    backend: str = "packed",
     consolidate_to: int | None = None,
     jobs: int = 1,
     executor: Executor | str | None = None,
@@ -642,9 +619,6 @@ def compress_sharded(
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
     watch = Stopwatch()
-    columnar = isinstance(log, ColumnarLog)
-    if not columnar:
-        log = log.with_backend(backend)
     chunks = [
         chunk
         for chunk in np.array_split(np.arange(log.n_distinct), n_shards)
@@ -654,8 +628,8 @@ def compress_sharded(
     consolidation_rng = _fresh_child(seed) if consolidate_to is not None else None
     tasks: list[tuple[_CompressorSpec, QueryLog | _ColumnarShard]] = [
         (
-            _CompressorSpec(n_clusters, method, metric, n_init, backend, child),
-            _ColumnarShard(str(log.path), int(chunk[0]), int(chunk[-1]) + 1, backend)
+            _CompressorSpec(n_clusters, method, metric, n_init, child),
+            _ColumnarShard(str(log.path), int(chunk[0]), int(chunk[-1]) + 1)
             if isinstance(log, ColumnarLog)
             else log.subset(chunk),
         )
@@ -687,7 +661,6 @@ def compress_sharded(
         metric=metric,
         build_seconds=watch.elapsed(),
         refined_patterns=0,
-        backend=backend,
     )
 
 

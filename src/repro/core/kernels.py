@@ -16,8 +16,9 @@ compare reductions::
 Feature ``i`` maps to bit ``i % 64`` of word ``i // 64`` — pure shift
 arithmetic, independent of host endianness, so rows and patterns packed
 by different helpers always agree.  All kernels are exact: supports are
-integer multiplicity sums, so the packed backend is bit-identical to
-the dense one (the tier-1 equivalence tests assert this).
+integer multiplicity sums, so the packed results are bit-identical to
+a dense ``Pattern.matches`` scan (the tier-1 equivalence tests check
+every kernel against that reference).
 
 Two packed layouts complement each other:
 

@@ -11,11 +11,11 @@ has 629,582 entries but only 605 distinct queries).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from . import kernels, kernels_compiled
+from . import kernels
 from .entropy import entropy
 from .pattern import Pattern
 from .vocabulary import Vocabulary
@@ -23,14 +23,7 @@ from .vocabulary import Vocabulary
 if TYPE_CHECKING:  # runtime import would cycle: colstore imports QueryLog
     from .colstore import ColumnarLog
 
-__all__ = ["QueryLog", "LogBuilder", "BACKENDS"]
-
-#: Containment backends: ``packed`` scans uint64 bitset words (the
-#: default hot path), ``dense`` scans the raw uint8 matrix (reference),
-#: ``compiled`` runs the optional numba kernel tier
-#: (:mod:`repro.core.kernels_compiled`; falls back to ``packed`` with a
-#: warning when numba is not installed).
-BACKENDS = ("packed", "dense", "compiled")
+__all__ = ["QueryLog", "LogBuilder"]
 
 
 class QueryLog:
@@ -41,11 +34,10 @@ class QueryLog:
         matrix: ``(n_distinct, n_features)`` 0/1 array of distinct rows.
         counts: multiplicity of each distinct row; ``counts.sum()`` is
             the total number of log entries ``|L|``.
-        backend: containment backend, ``packed`` (bitset kernels),
-            ``dense`` (reference uint8 scans), or ``compiled`` (the
-            optional numba JIT tier, falling back to ``packed`` when
-            numba is absent).  All are exact and bit-identical;
-            derived logs (partition/subset/project) inherit it.
+
+    Pattern containment and support counting run on the packed uint64
+    bitset kernels of :mod:`repro.core.kernels` (exact integer
+    arithmetic over lazily built, cached row and column bitsets).
     """
 
     def __init__(
@@ -53,7 +45,6 @@ class QueryLog:
         vocabulary: Vocabulary,
         matrix: np.ndarray,
         counts: np.ndarray | Sequence[int],
-        backend: str = "packed",
     ) -> None:
         matrix = np.ascontiguousarray(np.asarray(matrix, dtype=np.uint8))
         counts = np.asarray(counts, dtype=np.int64)
@@ -68,16 +59,9 @@ class QueryLog:
             raise ValueError("counts must have one entry per distinct row")
         if (counts <= 0).any():
             raise ValueError("multiplicities must be positive")
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        if backend == "compiled":
-            # Emits the one-time fallback warning when numba is absent;
-            # the log keeps its requested backend label either way.
-            kernels_compiled.resolve_backend(backend)
         self.vocabulary = vocabulary
         self.matrix = matrix
         self.counts = counts
-        self.backend = backend
         self._packed: np.ndarray | None = None
         self._columns: np.ndarray | None = None
         self._tally: np.ndarray | None = None
@@ -124,12 +108,6 @@ class QueryLog:
             self._tally = kernels.weighted_byte_tally(self.counts)
         return self._tally
 
-    def with_backend(self, backend: str) -> "QueryLog":
-        """This log with another containment backend (shares the arrays)."""
-        if backend == self.backend:
-            return self
-        return QueryLog(self.vocabulary, self.matrix, self.counts, backend=backend)
-
     # ------------------------------------------------------------------
     # distributional views
     # ------------------------------------------------------------------
@@ -150,24 +128,11 @@ class QueryLog:
         """Indices of features appearing in at least one query."""
         return np.flatnonzero(self.matrix.any(axis=0))
 
-    @property
-    def _kernels(self) -> Any:
-        """Packed-layout kernel module for this log's backend.
-
-        ``packed`` (and ``compiled`` without numba) resolves to the
-        NumPy reference kernels; ``compiled`` with numba resolves to
-        the JIT tier.  Both are exact, so the choice never changes a
-        result — only the wall clock.
-        """
-        return kernels_compiled.kernel_namespace(self.backend)
-
     def pattern_mask(self, pattern: Pattern) -> np.ndarray:
         """Boolean mask of distinct rows containing *pattern*."""
-        if self.backend != "dense":
-            return self._kernels.contains(
-                self.packed, kernels.pack_indices(pattern.indices, self.n_features)
-            )
-        return pattern.matches(self.matrix)
+        return kernels.contains(
+            self.packed, kernels.pack_indices(pattern.indices, self.n_features)
+        )
 
     def pattern_marginal(self, pattern: Pattern) -> float:
         """True marginal ``p(Q ⊇ b | L)`` of *pattern* (§2.3.1)."""
@@ -175,24 +140,14 @@ class QueryLog:
 
     def pattern_count(self, pattern: Pattern) -> int:
         """True count ``Γ_b(L) = |{q ∈ L : b ⊆ q}|`` (§6.2)."""
-        if self.backend != "dense":
-            return int(
-                self._kernels.support_counts(
-                    self.packed_columns, self._byte_tally, [pattern.indices]
-                )[0]
-            )
-        return int(self.counts[self.pattern_mask(pattern)].sum())
+        return int(self.pattern_counts([pattern])[0])
 
     def pattern_counts(self, patterns: Sequence[Pattern]) -> np.ndarray:
         """Batched ``Γ_b(L)`` for many patterns in one kernel sweep."""
         if not len(patterns):
             return np.zeros(0, dtype=np.int64)
-        if self.backend != "dense":
-            return self._kernels.support_counts(
-                self.packed_columns, self._byte_tally, [p.indices for p in patterns]
-            )
-        return np.array(
-            [self.pattern_count(pattern) for pattern in patterns], dtype=np.int64
+        return kernels.support_counts(
+            self.packed_columns, self._byte_tally, [p.indices for p in patterns]
         )
 
     def pattern_marginals(self, patterns: Sequence[Pattern]) -> np.ndarray:
@@ -220,12 +175,7 @@ class QueryLog:
         for label in np.unique(labels):
             mask = labels == label
             partitions.append(
-                QueryLog(
-                    self.vocabulary,
-                    self.matrix[mask],
-                    self.counts[mask],
-                    backend=self.backend,
-                )
+                QueryLog(self.vocabulary, self.matrix[mask], self.counts[mask])
             )
         return partitions
 
@@ -233,10 +183,7 @@ class QueryLog:
         """Sub-log containing the given distinct rows."""
         row_indices = np.asarray(row_indices, dtype=int)
         return QueryLog(
-            self.vocabulary,
-            self.matrix[row_indices],
-            self.counts[row_indices],
-            backend=self.backend,
+            self.vocabulary, self.matrix[row_indices], self.counts[row_indices]
         )
 
     def project(self, feature_indices: np.ndarray | Sequence[int]) -> "QueryLog":
@@ -250,7 +197,7 @@ class QueryLog:
         reduced = self.matrix[:, feature_indices]
         new_vocab = Vocabulary(self.vocabulary.feature(i) for i in feature_indices)
         merged = _merge_duplicates(reduced, self.counts)
-        return QueryLog(new_vocab, merged[0], merged[1], backend=self.backend)
+        return QueryLog(new_vocab, merged[0], merged[1])
 
     # ------------------------------------------------------------------
     # equality (used heavily by tests)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels_compiled
-from .log import BACKENDS, QueryLog
+from . import kernels
+from .log import QueryLog
 from .pattern import Pattern
 
 __all__ = ["frequent_patterns", "pattern_support"]
@@ -29,7 +29,6 @@ def frequent_patterns(
     max_size: int = 3,
     max_patterns: int | None = None,
     min_size: int = 1,
-    backend: str | None = None,
 ) -> list[tuple[Pattern, float]]:
     """Mine patterns with support ≥ *min_support*, up to *max_size* features.
 
@@ -41,42 +40,25 @@ def frequent_patterns(
     later.  (Candidate generation itself is exact Apriori, so no
     frequent pattern below the cap is missed by pruning.)
 
-    *backend* selects the support-counting kernel (``packed`` bitsets
-    or the ``dense`` matrix scan); it defaults to the log's own
-    backend.  Both produce bit-identical supports.
+    Supports are exact integer counts from the packed-bitset kernel
+    (:func:`repro.core.kernels.support_counts`), divided once by
+    ``|L|``.
     """
     if not 0.0 < min_support <= 1.0:
         raise ValueError("min_support must lie in (0, 1]")
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    backend = log.backend if backend is None else backend
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-
-    counts = log.counts
     total = log.total
-    km = kernels_compiled.kernel_namespace(backend)
-    if backend != "dense":
-        column_bitsets = log.packed_columns
-        tally = log._byte_tally
-        dense_matrix = None
-    else:
-        # Integer count arithmetic keeps supports exact: a query contains
-        # an itemset iff the row-wise min over its columns is 1, so the
-        # weighted support is an integer dot product divided once by |L|.
-        column_bitsets = tally = None
-        dense_matrix = log.matrix.astype(np.int64)
+    column_bitsets = log.packed_columns
+    tally = log._byte_tally
 
     # Level 1: frequent single features.  Levels are (L, size) index
     # arrays with lexicographically sorted rows throughout the sweep;
     # itemsets become Pattern objects only when emitted, so the
     # level-wise loop stays fully vectorized.
-    if column_bitsets is not None:
-        feature_counts = km.support_counts(
-            column_bitsets, tally, np.arange(log.n_features)[:, None]
-        )
-    else:
-        feature_counts = counts @ dense_matrix
+    feature_counts = kernels.support_counts(
+        column_bitsets, tally, np.arange(log.n_features)[:, None]
+    )
     marginals = feature_counts / total
     frequent_items = np.flatnonzero(marginals >= min_support)
     level_items = frequent_items[:, None].astype(np.int64)
@@ -94,17 +76,7 @@ def frequent_patterns(
         candidates = _generate_candidates(level_items, log.n_features)
         if candidates.shape[0] == 0:
             break
-        if column_bitsets is not None:
-            supports = (
-                km.support_counts(column_bitsets, tally, candidates) / total
-            )
-        else:
-            supports = np.array(
-                [
-                    float(counts @ dense_matrix[:, list(items)].min(axis=1)) / total
-                    for items in candidates
-                ]
-            )
+        supports = kernels.support_counts(column_bitsets, tally, candidates) / total
         keep = supports >= min_support
         level_items = candidates[keep]
         level_supports = supports[keep]

@@ -1,11 +1,9 @@
 """The staged LogR compression pipeline (§6, decomposed).
 
 ``LogRCompressor.compress`` used to be one monolithic loop; this module
-splits it into four stages with explicit inputs and outputs so each can
-be scheduled, timed, and parallelized independently:
+splits it into three stages with explicit inputs and outputs so each
+can be scheduled, timed, and parallelized independently:
 
-* :class:`EncodeStage` — ``QueryLog → QueryLog`` on the requested
-  kernel backend (§4/PR 1's packed bitsets or the dense reference).
 * :class:`PartitionStage` — ``QueryLog → labels`` via the §6.1
   clustering strategies.  Serial by construction: the clustering
   threads one RNG through k-means++ restarts, and splitting that
@@ -40,7 +38,6 @@ from .mixture import PatternMixtureEncoding
 from .refine import refine_greedy
 
 __all__ = [
-    "EncodeStage",
     "PartitionStage",
     "FitStage",
     "RefineStage",
@@ -65,7 +62,6 @@ _PIPELINE_RUNS = _metrics.counter(
 class PipelineResult:
     """Everything the staged run produced, plus per-stage wall clock."""
 
-    log: QueryLog  # the encoded log the stages ran on
     labels: np.ndarray  # cluster label per distinct row
     partitions: list[QueryLog]  # the label-induced sub-logs
     mixture: PatternMixtureEncoding  # fitted (and maybe refined) mixture
@@ -74,16 +70,6 @@ class PipelineResult:
     @property
     def total_seconds(self) -> float:
         return sum(self.timings.values())
-
-
-class EncodeStage:
-    """``QueryLog → QueryLog``: pin the containment kernel backend."""
-
-    def __init__(self, backend: str = "packed") -> None:
-        self.backend = backend
-
-    def run(self, log: QueryLog) -> QueryLog:
-        return log.with_backend(self.backend)
 
 
 class PartitionStage:
@@ -178,13 +164,12 @@ def _refine_task(payload: tuple[QueryLog, int, float, int]) -> PatternEncoding:
 
 
 class CompressionPipeline:
-    """Encode → Partition → Fit → Refine, against one executor.
+    """Partition → Fit → Refine, against one executor.
 
     The assembled form of the §6 pipeline.  ``LogRCompressor`` builds
     one per ``compress`` call; standalone use composes custom stages::
 
         pipeline = CompressionPipeline(
-            encode=EncodeStage("packed"),
             partition=PartitionStage(8, "spectral", "hamming"),
             fit=FitStage(),
             refine=RefineStage(4),
@@ -195,13 +180,11 @@ class CompressionPipeline:
 
     def __init__(
         self,
-        encode: EncodeStage,
         partition: PartitionStage,
         fit: FitStage | None = None,
         refine: RefineStage | None = None,
         executor: Executor | None = None,
     ) -> None:
-        self.encode = encode
         self.partition = partition
         self.fit = fit or FitStage()
         self.refine = refine or RefineStage(0)
@@ -210,20 +193,13 @@ class CompressionPipeline:
     def run(self, log: QueryLog, rng: np.random.Generator) -> PipelineResult:
         timings: dict[str, float] = {}
         watch = Stopwatch()
-        with _span("pipeline.encode", backend=self.encode.backend):
-            encoded = self.encode.run(log)
-        timings["encode"] = watch.lap()
-        _STAGE_SECONDS.observe(timings["encode"], stage="encode")
-
         with _span("pipeline.partition", n_clusters=self.partition.n_clusters):
-            labels = self.partition.run(encoded, rng)
+            labels = self.partition.run(log, rng)
         timings["partition"] = watch.lap()
         _STAGE_SECONDS.observe(timings["partition"], stage="partition")
 
         with _span("pipeline.fit", executor=self.executor.kind):
-            partitions, mixture = self.fit.run(
-                encoded, labels, self.executor
-            )
+            partitions, mixture = self.fit.run(log, labels, self.executor)
         timings["fit"] = watch.lap()
         _STAGE_SECONDS.observe(timings["fit"], stage="fit")
 
@@ -234,7 +210,6 @@ class CompressionPipeline:
 
         _PIPELINE_RUNS.inc()
         return PipelineResult(
-            log=encoded,
             labels=labels,
             partitions=partitions,
             mixture=mixture,

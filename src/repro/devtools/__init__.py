@@ -1,7 +1,7 @@
 """Developer tooling: ``reprolint``, the repository's invariant analyzer.
 
-The repo's hardest guarantees — bit-identical results across kernel
-backends and worker counts, spawn-safe executor payloads, and the
+The repo's hardest guarantees — bit-identical results across executors
+and worker counts, spawn-safe executor payloads, and the
 service layer's snapshot/lock discipline — are witnessed dynamically by
 property and concurrency tests, but those are slow and probabilistic.
 This package adds the cheap, total complement: a stdlib-``ast`` static

@@ -1,8 +1,8 @@
 """Determinism rules: DET01 (randomness), DET02 (wall clock), DET03 (ordering).
 
 The repository's hardest guarantee is bit-identity: the same input must
-produce byte-identical artifacts across ``packed|dense`` kernel
-backends, any executor kind, and any worker count.  Three classes of
+produce byte-identical artifacts across any executor kind and any
+worker count.  Three classes of
 bug silently break it — an unseeded RNG, a wall-clock value leaking
 into summary content, and iteration order of an unordered container
 reaching serialized output.  Each is cheap to catch at the AST and

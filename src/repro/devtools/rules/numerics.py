@@ -24,7 +24,7 @@ class FloatEquality(Rule):
     Invariant: numeric comparisons in ``core/`` use tolerances
     (``np.isclose``, explicit ``atol``) or inequalities; exact equality
     on floats silently flips when an accumulation order, a BLAS build,
-    or a kernel backend changes the low bits.  The check is heuristic —
+    or a kernel rewrite changes the low bits.  The check is heuristic —
     it flags comparisons where an operand is provably float-typed (a
     float literal, a ``float(...)`` / ``np.float64(...)`` call, or an
     arithmetic expression containing one) — so it cannot see every

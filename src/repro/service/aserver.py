@@ -51,7 +51,7 @@ from typing import Any, Sequence
 
 from .._clock import Stopwatch
 from ..obs.textfmt import CONTENT_TYPE as _METRICS_CONTENT_TYPE
-from .server import AnalyticsService, _require
+from .server import AnalyticsService, _body_length, _require
 from .store import StoreError, SummaryStore
 
 __all__ = ["AsyncAnalyticsServer", "serve_async"]
@@ -90,17 +90,28 @@ _JSON_CONTENT_TYPE = "application/json"
 
 
 class _Request:
-    """One parsed HTTP request (method, path, headers, raw body)."""
+    """One parsed HTTP request (method, path, headers, raw body).
 
-    __slots__ = ("method", "path", "headers", "body")
+    ``reject`` is ``(status, message)`` when the request must be refused
+    unread (malformed framing, oversized body): the response closes the
+    connection, since the stream position after the head is unknown.
+    """
+
+    __slots__ = ("method", "path", "headers", "body", "reject")
 
     def __init__(
-        self, method: str, path: str, headers: dict[str, str], body: bytes
+        self,
+        method: str,
+        path: str,
+        headers: dict[str, str],
+        body: bytes,
+        reject: tuple[int, str] | None = None,
     ) -> None:
         self.method = method
         self.path = path
         self.headers = headers
         self.body = body
+        self.reject = reject
 
 
 class _Response:
@@ -451,27 +462,33 @@ class AsyncAnalyticsServer(AnalyticsService):
             return None
         method, path, _version = parts
         headers: dict[str, str] = {}
+        lengths: list[str] = []
         for line in lines[1:]:
             if not line:
                 continue
             name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name = name.strip().lower()
+            headers[name] = value.strip()
+            if name == "content-length":
+                lengths.append(value)
         try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            return None
+            length = _body_length(lengths, "transfer-encoding" in headers)
+        except ValueError as exc:
+            reject = (400, f"bad request framing: {exc}")
+            return _Request(method, path, headers, b"", reject)
+        if length > self.max_body_bytes:
+            # Refuse without reading the body (the 413 response closes
+            # the connection, discarding the rest).
+            reject = (413, f"request body exceeds {self.max_body_bytes} bytes")
+            return _Request(method, path, headers, b"", reject)
         body = b""
-        if 0 < length <= self.max_body_bytes:
+        if length:
             try:
                 body = await asyncio.wait_for(
                     reader.readexactly(length), self.request_timeout
                 )
             except asyncio.TimeoutError:
                 return None
-        elif length > self.max_body_bytes:
-            # Oversized: refuse without reading the body (the 413
-            # response closes the connection, discarding the rest).
-            headers["x-logr-oversized"] = str(length)
         return _Request(method, path, headers, body)
 
     async def _respond(
@@ -481,16 +498,10 @@ class AsyncAnalyticsServer(AnalyticsService):
         watch = Stopwatch()
         endpoint: str | None = None
         keep_alive = not self._draining
-        if "x-logr-oversized" in request.headers:
-            response = _Response(
-                413,
-                {
-                    "error": (
-                        f"request body exceeds {self.max_body_bytes} bytes"
-                    )
-                },
-            )
-            keep_alive = False  # unread body bytes still on the wire
+        if request.reject is not None:
+            status, message = request.reject
+            response = _Response(status, {"error": message})
+            keep_alive = False  # unread body bytes may still be on the wire
         else:
             endpoint, response = await self._route(request)
         if response.status == 429:

@@ -207,7 +207,6 @@ class IncrementalIngestor:
                 f"{len(unique)} distinct labels"
             )
         self._labels = normalized.astype(np.int64)
-        self._backend = log.backend
         self._row_index = {
             _row_key(row): position for position, row in enumerate(self._matrix)
         }
@@ -252,7 +251,6 @@ class IncrementalIngestor:
             method=method,
             metric=metric,
             n_init=n_init,
-            backend=log.backend,
             jobs=jobs,
             executor=executor,
             seed=rng.spawn(1)[0],
@@ -269,10 +267,7 @@ class IncrementalIngestor:
 
     @classmethod
     def from_columnar(
-        cls,
-        log: ColumnarLog,
-        backend: str = "packed",
-        **kwargs: object,
+        cls, log: ColumnarLog, **kwargs: object
     ) -> "IncrementalIngestor":
         """Bootstrap an ingestor from an on-disk columnar log.
 
@@ -282,7 +277,7 @@ class IncrementalIngestor:
         ``ColumnarLog.to_query_log`` is exact, so the profile is
         bit-identical to bootstrapping from the in-RAM log.
         """
-        return cls.from_log(log.to_query_log(backend=backend), **kwargs)
+        return cls.from_log(log.to_query_log(), **kwargs)
 
     # ------------------------------------------------------------------
     # views
@@ -290,9 +285,7 @@ class IncrementalIngestor:
     @property
     def log(self) -> QueryLog:
         """The current merged log (fresh object; arrays are copied views)."""
-        return QueryLog(
-            self._vocabulary, self._matrix, self._counts, backend=self._backend
-        )
+        return QueryLog(self._vocabulary, self._matrix, self._counts)
 
     @property
     def staleness(self) -> float:
@@ -465,7 +458,6 @@ class IncrementalIngestor:
             metric=self.compressed.metric,
             build_seconds=self.compressed.build_seconds,
             refined_patterns=0,
-            backend=self._backend,
         )
         # Report the staleness that triggered recompression (the live
         # value resets to 0 once the trigger fires).
@@ -509,7 +501,6 @@ class IncrementalIngestor:
             n_clusters=self.compressed.n_clusters,
             method=method if method != "unknown" else "kmeans",
             metric=metric if metric != "unknown" else "euclidean",
-            backend=self._backend,
             jobs=self.jobs,
             executor=self.executor,
             seed=self._rng.spawn(1)[0],

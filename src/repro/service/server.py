@@ -965,6 +965,26 @@ def _require(body: dict, *keys: str):
     return values
 
 
+def _body_length(lengths: list[str], transfer_encoding: bool) -> int:
+    """The body length a request's framing headers declare.
+
+    *lengths* holds every ``Content-Length`` value sent.  Raises
+    ``ValueError`` for framing a keep-alive stream cannot recover from,
+    which both transports answer with 400 and a closed connection: any
+    ``Transfer-Encoding`` (its body would be read as the next request),
+    repeated ``Content-Length`` headers, or a value that is not a plain
+    non-negative decimal.
+    """
+    if transfer_encoding:
+        raise ValueError("Transfer-Encoding is not supported")
+    if len(lengths) > 1:
+        raise ValueError("duplicate Content-Length headers")
+    value = lengths[0].strip() if lengths else "0"
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"invalid Content-Length {value!r}")
+    return int(value)
+
+
 def _json_float(value: float) -> float | str:
     """JSON has no inf/nan literals; encode them as strings."""
     value = float(value)
@@ -984,11 +1004,13 @@ def _make_handler(service: AnalyticsService):
         disable_nagle_algorithm = True
 
         # -- helpers ---------------------------------------------------
-        def _send(self, status: int, payload: dict) -> None:
+        def _send(self, status: int, payload: dict, close: bool = False) -> None:
             body = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
@@ -1000,13 +1022,13 @@ def _make_handler(service: AnalyticsService):
             self.end_headers()
             self.wfile.write(body)
 
-        def _body(self) -> dict:
-            length = int(self.headers.get("Content-Length", 0))
-            raw = self.rfile.read(length) if length else b"{}"
-            payload = json.loads(raw.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
-            return payload
+        def _body(self) -> bytes:
+            """The raw request body; ``ValueError`` on malformed framing."""
+            length = _body_length(
+                self.headers.get_all("Content-Length", []),
+                "Transfer-Encoding" in self.headers,
+            )
+            return self.rfile.read(length) if length else b""
 
         def _dispatch(self, fn, *args, endpoint: str | None = None) -> None:
             watch = Stopwatch()
@@ -1056,6 +1078,14 @@ def _make_handler(service: AnalyticsService):
                 self._send(404, {"error": f"unknown endpoint {self.path!r}"})
 
         def do_POST(self):  # noqa: N802 - stdlib name
+            # Read the body before routing, so even a 404 leaves the
+            # keep-alive stream at the next request.
+            try:
+                raw = self._body()
+            except ValueError as exc:
+                error = {"error": f"bad request framing: {exc}"}
+                self._send(400, error, close=True)
+                return
             routes = {
                 "/score": service.handle_score,
                 "/ingest": service.handle_ingest,
@@ -1069,7 +1099,9 @@ def _make_handler(service: AnalyticsService):
                 self._send(404, {"error": f"unknown endpoint {self.path!r}"})
                 return
             try:
-                body = self._body()
+                body = json.loads(raw.decode("utf-8") or "{}")
+                if not isinstance(body, dict):
+                    raise ValueError("request body must be a JSON object")
             except (ValueError, json.JSONDecodeError) as exc:
                 self._send(400, {"error": f"bad request body: {exc}"})
                 return

@@ -14,8 +14,8 @@ On disk::
         segments/<name>/s000000.json  # one time pane per segment (0-based)
 
 Each version file carries the *full* :class:`repro.core.compress.
-CompressedLog` payload (mixture + labels + provenance + vocabulary +
-backend) and, optionally, the encoded training state (distinct rows +
+CompressedLog` payload (mixture + labels + provenance + vocabulary)
+and, optionally, the encoded training state (distinct rows +
 multiplicities) that incremental ingestion and threshold calibration
 need.  The raw SQL text is never stored.
 
@@ -367,9 +367,7 @@ class SummaryStore:
                 raise StoreError(
                     f"profile {name!r} stores state but no vocabulary"
                 )
-            log = _log_from_state(
-                state, compressed.mixture.vocabulary, compressed.backend
-            )
+            log = _log_from_state(state, compressed.mixture.vocabulary)
         return compressed, log
 
     def _read_version(self, name: str, version: int | None) -> dict:
@@ -607,7 +605,7 @@ def _log_state_payload(log: QueryLog) -> dict:
     }
 
 
-def _log_from_state(state: dict, vocabulary, backend: str) -> QueryLog:
+def _log_from_state(state: dict, vocabulary) -> QueryLog:
     """Rebuild the encoded training log from its sparse payload.
 
     The matrix is widened to the current vocabulary size (the stored
@@ -620,8 +618,5 @@ def _log_from_state(state: dict, vocabulary, backend: str) -> QueryLog:
     for r, indices in enumerate(rows):
         matrix[r, indices] = 1
     return QueryLog(
-        vocabulary,
-        matrix,
-        np.asarray(state["counts"], dtype=np.int64),
-        backend=backend,
+        vocabulary, matrix, np.asarray(state["counts"], dtype=np.int64)
     )

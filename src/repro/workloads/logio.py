@@ -21,7 +21,18 @@ from ..core.log import LogBuilder, QueryLog
 from ..sql import AligonExtractor, SqlError
 from .generator import SyntheticWorkload
 
-__all__ = ["write_log", "read_log", "LoadReport", "load_log", "load_log_columnar"]
+__all__ = [
+    "write_log",
+    "read_log",
+    "LoadReport",
+    "EmptyLogError",
+    "load_log",
+    "load_log_columnar",
+]
+
+
+class EmptyLogError(ValueError):
+    """Raised when no statement of the input log encodes to a query."""
 
 
 def write_log(
@@ -211,7 +222,7 @@ def _load_into(
             report.conjunctive_branches += entry.n_branches
             builder.add_encoded(indices)
         if len(builder) == 0:
-            raise ValueError("no usable statements in the input log")
+            raise EmptyLogError("no usable statements in the input log")
         return report
     cache: dict[str, list | None] = {}
     for statement in statements:
@@ -252,7 +263,7 @@ def _load_into(
             merged.update(feature_set)
         builder.add(frozenset(merged))
     if len(builder) == 0:
-        raise ValueError("no usable statements in the input log")
+        raise EmptyLogError("no usable statements in the input log")
     return report
 
 

@@ -91,7 +91,6 @@ class TestCompressor:
         assert restored.metric == compressed.metric
         assert restored.build_seconds == compressed.build_seconds
         assert restored.refined_patterns == compressed.refined_patterns
-        assert restored.backend == compressed.backend
 
     def test_serialization_bit_exact_scores(self, small_pocketdata_log):
         from repro.core.compress import CompressedLog

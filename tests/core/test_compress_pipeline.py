@@ -20,7 +20,6 @@ from repro.core.executor import get_executor
 from repro.core.mixture import PatternMixtureEncoding
 from repro.core.pipeline import (
     CompressionPipeline,
-    EncodeStage,
     FitStage,
     PartitionStage,
     RefineStage,
@@ -49,11 +48,6 @@ def _artifact_key(compressed):
 
 
 class TestStages:
-    def test_encode_stage_pins_backend(self, small_pocketdata_log):
-        dense = EncodeStage("dense").run(small_pocketdata_log)
-        assert dense.backend == "dense"
-        assert EncodeStage("packed").run(dense).backend == "packed"
-
     def test_partition_stage_matches_compressor(self, small_pocketdata_log):
         stage_labels = PartitionStage(4, "kmeans", "euclidean", n_init=3).run(
             small_pocketdata_log, np.random.default_rng(0)
@@ -89,12 +83,9 @@ class TestStages:
         assert all(c.extra is None for c in refined.components)
 
     def test_pipeline_records_stage_timings(self, small_pocketdata_log):
-        pipeline = CompressionPipeline(
-            encode=EncodeStage(),
-            partition=PartitionStage(3, n_init=2),
-        )
+        pipeline = CompressionPipeline(partition=PartitionStage(3, n_init=2))
         result = pipeline.run(small_pocketdata_log, np.random.default_rng(0))
-        assert set(result.timings) == {"encode", "partition", "fit", "refine"}
+        assert set(result.timings) == {"partition", "fit", "refine"}
         assert all(seconds >= 0 for seconds in result.timings.values())
         assert result.total_seconds == sum(result.timings.values())
         assert result.mixture.n_components == len(result.partitions)

@@ -17,6 +17,7 @@ The fixtures encode the paper's Example 2/3 toy log compressed with
 from __future__ import annotations
 
 import json
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,23 @@ class TestMixtureV1Payload:
     def test_wrapped_fixture_roundtrips(self):
         text = (FIXTURES / "mixture_v1_as_v2.json").read_text(encoding="utf-8")
         assert CompressedLog.from_json(text).to_json() == text
+
+
+@pytest.mark.parametrize("recorded", ["dense", "compiled"])
+def test_recorded_kernel_backend_is_ignored(recorded):
+    """Artifacts written when ``dense``/``compiled`` kernels existed (both
+    bit-identical to ``packed``) load to the same mixture and scores."""
+    payload = json.loads((FIXTURES / "artifact_v2.json").read_text(encoding="utf-8"))
+    reference = CompressedLog.from_payload(payload)
+    artifact = CompressedLog.from_payload({**payload, "backend": recorded})
+    assert artifact.to_json() == reference.to_json()
+    assert json.loads(artifact.to_json())["backend"] == "packed"
+    n_features = len(reference.mixture.vocabulary)
+    points = np.array(list(product((0, 1), repeat=n_features)), dtype=np.uint8)
+    assert np.array_equal(
+        artifact.mixture.point_probabilities(points),
+        reference.mixture.point_probabilities(points),
+    )
 
 
 def test_unknown_format_fails_loudly(tmp_path):

@@ -1,12 +1,14 @@
-"""Packed-bitset kernel tests: unit checks plus packed/dense equivalence.
+"""Packed-bitset kernel tests: unit checks plus dense-reference equivalence.
 
-The packed backend must be *bit-identical* to the dense reference on
-every operation it accelerates — marginals, supports, mined pattern
+The packed kernels must be *bit-identical* to a dense reference on
+every operation they accelerate — marginals, supports, mined pattern
 sets — so these tests are property-style sweeps over randomized logs,
 including vocabularies wider than one 64-bit word.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -191,72 +193,90 @@ class TestAtomsContaining:
 
 
 class TestBackendEquivalence:
-    """Packed and dense backends must agree bit-for-bit."""
+    """The packed kernels must agree bit-for-bit with the dense reference.
+
+    The reference lives here, test-side: ``Pattern.matches`` row scans
+    plus multiplicity-weighted sums, and brute-force itemset
+    enumeration for the miner.
+    """
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_marginals_and_counts(self, seed):
         log = random_log(seed)
-        packed = log.with_backend("packed")
-        dense = log.with_backend("dense")
         rng = np.random.default_rng(seed + 100)
         patterns = random_patterns(rng, log.n_features, 40)
-        for pattern in patterns:
-            assert packed.pattern_count(pattern) == dense.pattern_count(pattern)
-            assert packed.pattern_marginal(pattern) == dense.pattern_marginal(pattern)
-        assert np.array_equal(
-            packed.pattern_counts(patterns), dense.pattern_counts(patterns)
-        )
-        assert np.array_equal(
-            packed.pattern_marginals(patterns), dense.pattern_marginals(patterns)
-        )
+        expected = np.array([reference_count(log, p) for p in patterns])
+        for pattern, count in zip(patterns, expected):
+            assert log.pattern_count(pattern) == count
+            assert log.pattern_marginal(pattern) == count / log.total
+        assert np.array_equal(log.pattern_counts(patterns), expected)
+        assert np.array_equal(log.pattern_marginals(patterns), expected / log.total)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("min_support", [0.02, 0.1, 0.3])
     def test_mined_patterns_identical(self, seed, min_support):
         log = random_log(seed, n_rows=60, n_features=40)
-        packed = frequent_patterns(log.with_backend("packed"), min_support, 3)
-        dense = frequent_patterns(log.with_backend("dense"), min_support, 3)
-        assert packed == dense  # same patterns, same supports, same order
+        mined = frequent_patterns(log, min_support, 3)
+        # same patterns, same supports, same order
+        assert mined == reference_frequent_patterns(log, min_support, 3)
 
     def test_pattern_mask_identical(self):
         log = random_log(9)
         rng = np.random.default_rng(9)
         for pattern in random_patterns(rng, log.n_features, 25):
             assert np.array_equal(
-                log.with_backend("packed").pattern_mask(pattern),
-                log.with_backend("dense").pattern_mask(pattern),
+                log.pattern_mask(pattern), pattern.matches(log.matrix)
             )
 
-    def test_laserlight_identical_across_backends(self):
-        from repro.baselines.laserlight import Laserlight
+    def test_laserlight_identical_across_backends(self, monkeypatch):
+        from repro.baselines import laserlight
 
         log = random_log(10, n_rows=50, n_features=30)
         rng = np.random.default_rng(11)
         outcomes = rng.random(log.n_distinct)
-        fit_packed = Laserlight(n_patterns=5, backend="packed", seed=0).fit(log, outcomes)
-        fit_dense = Laserlight(n_patterns=5, backend="dense", seed=0).fit(log, outcomes)
+        fit_packed = laserlight.Laserlight(n_patterns=5, seed=0).fit(log, outcomes)
+        monkeypatch.setattr(laserlight, "_Containment", DenseContainment)
+        fit_dense = laserlight.Laserlight(n_patterns=5, seed=0).fit(log, outcomes)
         assert fit_packed.patterns == fit_dense.patterns
         assert fit_packed.rates == fit_dense.rates
         assert fit_packed.error == fit_dense.error
 
-    def test_backend_inherited_by_derived_logs(self):
-        log = random_log(12).with_backend("dense")
-        assert log.partition(np.zeros(log.n_distinct, dtype=int))[0].backend == "dense"
-        assert log.subset([0, 1]).backend == "dense"
-        assert log.project([0, 1, 2]).backend == "dense"
-        assert log.with_backend("dense") is log
 
-    def test_invalid_backend_rejected(self):
-        log = random_log(13)
-        with pytest.raises(ValueError):
-            log.with_backend("sparse")
-        from repro.core.compress import LogRCompressor
+def reference_count(log: QueryLog, pattern: Pattern) -> int:
+    """Dense reference ``Γ_b(L)``: a row scan plus a weighted sum."""
+    return int(log.counts[pattern.matches(log.matrix)].sum())
 
-        with pytest.raises(ValueError):
-            LogRCompressor(backend="sparse")
-        with pytest.raises(ValueError):
-            frequent_patterns(log, 0.1, 2, backend="packd")
-        from repro.baselines.laserlight import Laserlight
 
-        with pytest.raises(ValueError):
-            Laserlight(backend="bitset")
+def reference_frequent_patterns(log: QueryLog, min_support: float, max_size: int):
+    """Every itemset up to *max_size*, enumerated and counted densely.
+
+    Emitted level by level in lexicographic order, then stably sorted
+    by (descending support, size) — the miner's documented order.
+    """
+    results = []
+    for size in range(1, max_size + 1):
+        itemsets = np.array(list(combinations(range(log.n_features), size)))
+        covered = log.matrix[:, itemsets].all(axis=2)
+        supports = (log.counts @ covered) / log.total
+        results.extend(
+            (Pattern(items), float(support))
+            for items, support in zip(itemsets, supports)
+            if support >= min_support
+        )
+    results.sort(key=lambda pair: (-pair[1], len(pair[0])))
+    return results
+
+
+class DenseContainment:
+    """Laserlight's containment oracle as dense ``Pattern.matches`` scans."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    def mask(self, pattern: Pattern) -> np.ndarray:
+        return pattern.matches(self.matrix)
+
+    def masks(self, patterns: list[Pattern]) -> np.ndarray:
+        if not patterns:
+            return np.empty((0, self.matrix.shape[0]), dtype=bool)
+        return np.stack([p.matches(self.matrix) for p in patterns])

@@ -12,7 +12,7 @@ invariants are load-bearing:
 * ``consolidated`` is *exact*: each merged group equals the naive fit
   of the union of its underlying partitions;
 * shard-merge-consolidate lands within the documented clustering-noise
-  bound of a direct fit, across both kernel backends and worker counts.
+  bound of a direct fit, at every worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from hypothesis import given, settings
 
 from repro.core.compress import LogRCompressor, compress_sharded
 from repro.core.executor import resolve_executor
-from repro.core.kernels_compiled import HAVE_NUMBA
 from repro.core.log import QueryLog
 from repro.core.mixture import PatternMixtureEncoding
 from repro.core.pattern import Pattern
@@ -278,31 +277,17 @@ def test_consolidated_equals_direct_fit_of_union_partitions(log, k):
 
 
 # ----------------------------------------------------------------------
-# shard-merge-consolidate vs direct fit, across backends and jobs
+# shard-merge-consolidate vs direct fit, across jobs
 # ----------------------------------------------------------------------
 #: Documented clustering-noise bound (bits): at equal total component
 #: count, shard-merge-consolidate may beat the direct fit only because
 #: K-way clustering is itself noisy — never by more than this.
 CLUSTERING_NOISE_BITS = 0.75
 
-#: All exact kernel backends; `compiled` joins the grid only when numba
-#: is importable (without it the backend is a packed alias — that
-#: fallback equivalence is covered by test_kernels_compiled instead).
-BACKEND_GRID = [
-    "packed",
-    "dense",
-    pytest.param(
-        "compiled", marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    ),
-]
 
-
-@pytest.mark.parametrize("backend", BACKEND_GRID)
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_sharded_consolidated_error_within_noise_of_direct(
-    small_pocketdata_log, backend, jobs
-):
-    log = small_pocketdata_log.with_backend(backend)
+def test_sharded_consolidated_error_within_noise_of_direct(small_pocketdata_log, jobs):
+    log = small_pocketdata_log
     executor = resolve_executor("thread" if jobs > 1 else "serial", jobs)
     try:
         sharded = compress_sharded(
@@ -310,14 +295,13 @@ def test_sharded_consolidated_error_within_noise_of_direct(
             n_shards=2,
             n_clusters=4,
             consolidate_to=4,
-            backend=backend,
             jobs=jobs,
             executor=executor,
             seed=0,
         )
     finally:
         executor.close()
-    direct = LogRCompressor(n_clusters=4, backend=backend, seed=0).compress(log)
+    direct = LogRCompressor(n_clusters=4, seed=0).compress(log)
     assert sharded.error >= direct.error - CLUSTERING_NOISE_BITS, (
         f"sharded-consolidated Error {sharded.error:.3f} beats the direct "
         f"fit {direct.error:.3f} by more than the documented "
@@ -329,10 +313,9 @@ def test_sharded_consolidated_error_within_noise_of_direct(
     assert direct.error >= -1e-9
 
 
-@pytest.mark.parametrize("backend", BACKEND_GRID)
-def test_sharded_merge_bit_identical_across_jobs(small_pocketdata_log, backend):
+def test_sharded_merge_bit_identical_across_jobs(small_pocketdata_log):
     """jobs=1 and jobs=2 must produce the same artifact bit for bit."""
-    log = small_pocketdata_log.with_backend(backend)
+    log = small_pocketdata_log
     results = []
     for jobs in (1, 2):
         executor = resolve_executor("thread" if jobs > 1 else "serial", jobs)
@@ -342,7 +325,6 @@ def test_sharded_merge_bit_identical_across_jobs(small_pocketdata_log, backend):
                     log,
                     n_shards=2,
                     n_clusters=3,
-                    backend=backend,
                     jobs=jobs,
                     executor=executor,
                     seed=7,

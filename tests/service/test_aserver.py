@@ -1,8 +1,8 @@
 """Tests for the asyncio micro-batching transport (``aserver``).
 
 Three contracts from the issue: micro-batched ``/score`` responses are
-byte-identical to sequential scalar requests on the threaded transport
-(across both containment backends); admission control sheds ingest
+byte-identical to sequential scalar requests on the threaded transport;
+admission control sheds ingest
 overflow with 429 and recovers after drain; shutdown drains in-flight
 requests while refusing new connections.
 """
@@ -72,16 +72,13 @@ def _post_raw(base: str, path: str, body: dict) -> tuple[int, bytes, dict]:
 
 @pytest.fixture(scope="module")
 def transports(tmp_path_factory):
-    """One store with a profile per backend, served by both transports."""
+    """One store with one profile, served by both transports."""
     root = tmp_path_factory.mktemp("aserver") / "store"
     store = SummaryStore(root)
     workload = generate_tpch(total=800, variants_per_template=4, seed=0)
-    for backend in ("packed", "dense"):
-        log = workload.to_query_log().with_backend(backend)
-        compressed = LogRCompressor(
-            n_clusters=2, seed=0, n_init=2, backend=backend
-        ).compress(log)
-        store.save(backend, compressed, log, note="seed")
+    log = workload.to_query_log()
+    compressed = LogRCompressor(n_clusters=2, seed=0, n_init=2).compress(log)
+    store.save("tpch", compressed, log, note="seed")
     threaded = AnalyticsServer(store, port=0, staleness_threshold=float("inf"))
     threaded.start()
     # A generous window so concurrently fired requests reliably coalesce.
@@ -99,7 +96,6 @@ def transports(tmp_path_factory):
 
 class TestBatchedScoringBitIdentity:
     @given(
-        backend=st.sampled_from(["packed", "dense"]),
         batches=st.lists(
             st.lists(st.sampled_from(_POOL), min_size=1, max_size=6),
             min_size=1,
@@ -108,14 +104,14 @@ class TestBatchedScoringBitIdentity:
     )
     @settings(max_examples=10, deadline=None)
     def test_concurrent_batched_equals_sequential_scalar(
-        self, transports, backend, batches
+        self, transports, batches
     ):
         threaded, batched = transports
         sequential = [
             _post_raw(
                 threaded.url,
                 "/score",
-                {"profile": backend, "statements": batch},
+                {"profile": "tpch", "statements": batch},
             )
             for batch in batches
         ]
@@ -125,7 +121,7 @@ class TestBatchedScoringBitIdentity:
                     lambda batch: _post_raw(
                         batched.url,
                         "/score",
-                        {"profile": backend, "statements": batch},
+                        {"profile": "tpch", "statements": batch},
                     ),
                     batches,
                 )
@@ -149,7 +145,7 @@ class TestBatchedScoringBitIdentity:
                     lambda _: _post_raw(
                         batched.url,
                         "/score",
-                        {"profile": "packed", "statements": statements},
+                        {"profile": "tpch", "statements": statements},
                     ),
                     range(8),
                 )
@@ -168,12 +164,85 @@ class TestBatchedScoringBitIdentity:
         threaded, batched = transports
         for path, body in (
             ("/score", {"profile": "ghost", "statements": ["SELECT 1"]}),
-            ("/score", {"profile": "packed"}),
+            ("/score", {"profile": "tpch"}),
             ("/nope", {}),
         ):
             t_status, t_body, _ = _post_raw(threaded.url, path, body)
             a_status, a_body, _ = _post_raw(batched.url, path, body)
             assert (a_status, a_body) == (t_status, t_body)
+
+
+def _exchange(server, raw: bytes) -> tuple[int, dict[str, str], bytes, bytes]:
+    """Send raw request bytes and read until the server closes.
+
+    Returns (status, headers, body, everything received); a server that
+    keeps the connection open fails the read with a socket timeout.
+    """
+    with socket.create_connection(server.address, timeout=10) as sock:
+        sock.sendall(raw)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(status_line.split()[1]), headers, body, received
+
+
+#: Request heads whose body framing cannot be trusted; the chunked one
+#: carries a second request inside its body that must never be served.
+_BAD_FRAMING = {
+    "negative-length": b"Content-Length: -1\r\n\r\n",
+    "duplicate-length": b"Content-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+    "invalid-length": b"Content-Length: 2x\r\n\r\n{}",
+    "chunked": (
+        b"Transfer-Encoding: chunked\r\n\r\n"
+        b"2\r\n{}\r\n0\r\n\r\nGET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+    ),
+}
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize("case", sorted(_BAD_FRAMING))
+    def test_bad_framing_is_400_and_closes(self, transports, case):
+        request = (
+            b"POST /score HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n" + _BAD_FRAMING[case]
+        )
+        bodies = []
+        for server in transports:
+            status, headers, body, received = _exchange(server, request)
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert received.count(b"HTTP/1.1 ") == 1  # nothing else served
+            assert json.loads(body)["error"].startswith("bad request framing: ")
+            bodies.append(body)
+        threaded_body, async_body = bodies
+        assert async_body == threaded_body
+
+    def test_oversized_body_is_413_unread(self, transports):
+        _, batched = transports
+        status, headers, body, _ = _exchange(
+            batched,
+            b"POST /score HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 999999999999\r\n\r\n",
+        )
+        assert status == 413
+        assert headers["connection"] == "close"
+        assert "exceeds" in json.loads(body)["error"]
+
+    def test_client_header_cannot_forge_oversize(self, transports):
+        _, batched = transports
+        request = urllib.request.Request(
+            batched.url + "/score",
+            data=json.dumps({"profile": "tpch", "statements": [_POOL[0]]}).encode(),
+            headers={"Content-Type": "application/json", "X-Logr-Oversized": "1"},
+        )
+        with urllib.request.urlopen(request, timeout=30) as response:
+            assert response.status == 200
 
 
 def _get_metrics(base: str) -> str:

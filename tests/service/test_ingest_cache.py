@@ -5,9 +5,9 @@ statement stream — repeated templates, fresh templates arriving
 mid-stream, literal variation, garbage, stored procedures — the cached
 and cold paths must produce identical ``QueryLog``s (same vocabulary
 order, same matrices, same counts), identical reports, and identical
-summary Error, on both containment backends and across windowed pane
-boundaries.  These are hypothesis property tests over exactly that
-statement space, plus the skip-accounting satellite.
+summary Error, across windowed pane boundaries.  These are hypothesis
+property tests over exactly that statement space, plus the
+skip-accounting satellite.
 """
 
 import tempfile
@@ -49,12 +49,9 @@ _BOOTSTRAP = [
 ]
 
 
-def _fresh_ingestor(backend: str, cached: bool) -> IncrementalIngestor:
+def _fresh_ingestor(cached: bool) -> IncrementalIngestor:
     log, _ = load_log(_BOOTSTRAP, parse_cache=cached)
-    log = log.with_backend(backend)
-    compressed = LogRCompressor(
-        n_clusters=2, seed=0, n_init=2, backend=backend
-    ).compress(log)
+    compressed = LogRCompressor(n_clusters=2, seed=0, n_init=2).compress(log)
     return IncrementalIngestor(
         compressed,
         log,
@@ -65,15 +62,12 @@ def _fresh_ingestor(backend: str, cached: bool) -> IncrementalIngestor:
 
 
 class TestCachedUncachedEquivalence:
-    @given(
-        stream=st.lists(_STATEMENTS, min_size=1, max_size=30),
-        backend=st.sampled_from(["packed", "dense"]),
-    )
+    @given(stream=st.lists(_STATEMENTS, min_size=1, max_size=30))
     @settings(max_examples=30, deadline=None)
-    def test_ingestion_is_bit_identical(self, stream, backend):
+    def test_ingestion_is_bit_identical(self, stream):
         results = {}
         for cached in (True, False):
-            ingestor = _fresh_ingestor(backend, cached)
+            ingestor = _fresh_ingestor(cached)
             reports = [
                 ingestor.ingest_statements(stream[i : i + 7])
                 for i in range(0, len(stream), 7)
@@ -161,7 +155,7 @@ class TestSkipAccounting:
 
     @pytest.mark.parametrize("cached", [True, False])
     def test_skip_split(self, cached):
-        ingestor = _fresh_ingestor("packed", cached)
+        ingestor = _fresh_ingestor(cached)
         report = ingestor.ingest_statements(
             [
                 "SELECT a FROM t WHERE x = 5",
@@ -184,7 +178,7 @@ class TestSkipAccounting:
         assert "2 unparseable" in str(report)
 
     def test_feature_set_ingest_reports_no_skips(self):
-        ingestor = _fresh_ingestor("packed", True)
+        ingestor = _fresh_ingestor(True)
         report = ingestor.ingest_feature_sets([[("a", "SELECT")]])
         assert report.n_skipped == 0
         assert report.n_skipped_procedures == 0
@@ -209,11 +203,11 @@ class TestSkipAccounting:
             )
 
     def test_cache_stats_exposed(self):
-        ingestor = _fresh_ingestor("packed", True)
+        ingestor = _fresh_ingestor(True)
         ingestor.ingest_statements(
             ["SELECT a FROM t WHERE x = 1", "SELECT a FROM t WHERE x = 2"]
         )
         stats = ingestor.parse_cache_stats
         assert stats["rows"]["hits"] >= 1
         assert 0.0 < stats["rows"]["hit_rate"] <= 1.0
-        assert _fresh_ingestor("packed", False).parse_cache_stats is None
+        assert _fresh_ingestor(False).parse_cache_stats is None

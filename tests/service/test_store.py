@@ -28,7 +28,6 @@ class TestSaveLoad:
         loaded = store.load("pocket")
         assert loaded.n_clusters == compressed.n_clusters
         assert loaded.method == compressed.method
-        assert loaded.backend == compressed.backend
         assert np.array_equal(loaded.labels, compressed.labels)
         assert loaded.error == pytest.approx(compressed.error, abs=1e-12)
 
@@ -47,7 +46,6 @@ class TestSaveLoad:
         store.save("pocket", compressed, log)
         _, loaded_log = store.load_state("pocket")
         assert loaded_log == log  # QueryLog equality is multiset equality
-        assert loaded_log.backend == compressed.backend
 
     def test_artifact_only_profile(self, profile_data, tmp_path):
         _, compressed = profile_data

@@ -1,10 +1,10 @@
 """Fault-path and equivalence tests for the scoring worker pool.
 
 The acceptance bar from the worker-pool issue: pool results must be
-byte-identical to the in-process scorer (across ``packed`` and
-``dense`` backends), a SIGKILLed worker must respawn and retry rather
-than hang or change the response, and no ``/dev/shm`` segment may
-outlive the pool — after clean shutdown *or* exceptional teardown.
+byte-identical to the in-process scorer (for every published profile),
+a SIGKILLed worker must respawn and retry rather than hang or change
+the response, and no ``/dev/shm`` segment may outlive the pool — after
+clean shutdown *or* exceptional teardown.
 """
 
 from __future__ import annotations
@@ -30,19 +30,15 @@ def _logr_shm_entries() -> list[str]:
 
 @pytest.fixture(scope="module")
 def scoring_setup():
-    """In-process reference monitors (packed|dense) plus statements."""
+    """Two in-process reference monitors (K=2 and K=3) plus statements."""
     workload = generate_tpch(total=400, variants_per_template=4, seed=0)
     log = workload.to_query_log()
     statements = [sql for sql, _count in workload.entries][:100]
     statements.append("THIS IS NOT SQL ;;;")  # unparseable path ships too
     monitors = {}
-    for backend in ("packed", "dense"):
-        compressed = LogRCompressor(
-            n_clusters=2, seed=0, n_init=2, backend=backend
-        ).compress(log.with_backend(backend))
-        monitors[backend] = WorkloadMonitor(
-            compressed.mixture, training_log=log.with_backend(backend)
-        )
+    for k in (2, 3):
+        compressed = LogRCompressor(n_clusters=k, seed=0, n_init=2).compress(log)
+        monitors[k] = WorkloadMonitor(compressed.mixture, training_log=log)
     return monitors, statements
 
 
@@ -54,25 +50,25 @@ def _reference(monitor, statements):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("backend", ["packed", "dense"])
-    def test_pool_size_1_matches_in_process_scorer(self, scoring_setup, backend):
+    def test_pool_size_1_matches_in_process_scorer(self, scoring_setup):
         monitors, statements = scoring_setup
-        monitor = monitors[backend]
         with ScoringWorkerPool(1, registry=MetricsRegistry()) as pool:
-            pool.publish(backend, 1, monitor)
-            version, threshold, scores = pool.score(backend, statements)
-        assert version == 1
-        assert threshold == monitor.threshold
-        assert scores == _reference(monitor, statements)
+            for name, monitor in monitors.items():
+                pool.publish(f"k{name}", 1, monitor)
+            for name, monitor in monitors.items():
+                version, threshold, scores = pool.score(f"k{name}", statements)
+                assert version == 1
+                assert threshold == monitor.threshold
+                assert scores == _reference(monitor, statements)
 
     def test_sharded_scores_concatenate_identically(self, scoring_setup):
         """Statement-level sharding across several workers must be
         invisible: per-row arithmetic is batch-composition-independent."""
         monitors, statements = scoring_setup
-        monitor = monitors["packed"]
+        monitor = monitors[2]
         with ScoringWorkerPool(3, registry=MetricsRegistry()) as pool:
-            pool.publish("packed", 1, monitor)
-            _, _, scores = pool.score("packed", statements)
+            pool.publish("a", 1, monitor)
+            _, _, scores = pool.score("a", statements)
         assert scores == _reference(monitor, statements)
 
     def test_score_without_snapshot_raises_key_error(self):
@@ -93,11 +89,11 @@ class TestFaultPaths:
         self, scoring_setup
     ):
         monitors, statements = scoring_setup
-        monitor = monitors["packed"]
+        monitor = monitors[2]
         registry = MetricsRegistry()
         with ScoringWorkerPool(1, registry=registry) as pool:
-            pool.publish("packed", 1, monitor)
-            before = pool.score("packed", statements)
+            pool.publish("a", 1, monitor)
+            before = pool.score("a", statements)
             slot = pool._slots[0]
             process = slot.process
             assert process is not None and process.pid is not None
@@ -105,7 +101,7 @@ class TestFaultPaths:
             process.join(timeout=10)
             # The next request rides the respawned worker (either the
             # send lands after respawn, or the EOF cycle resends it).
-            after = pool.score("packed", statements)
+            after = pool.score("a", statements)
             assert after == before
             respawns = registry.counter(
                 "logr_pool_respawns_total",
@@ -119,13 +115,13 @@ class TestFaultPaths:
     ):
         monitors, statements = scoring_setup
         with ScoringWorkerPool(1, registry=MetricsRegistry()) as pool:
-            pool.publish("p", 1, monitors["packed"])
+            pool.publish("p", 1, monitors[2])
             first = pool._snapshots["p"].export.name
-            pool.publish("p", 2, monitors["dense"])
+            pool.publish("p", 2, monitors[3])
             assert first not in _logr_shm_entries()
             version, _, scores = pool.score("p", statements)
             assert version == 2
-            assert scores == _reference(monitors["dense"], statements)
+            assert scores == _reference(monitors[3], statements)
 
     def test_submit_after_close_raises(self):
         pool = ScoringWorkerPool(1, registry=MetricsRegistry())
@@ -139,9 +135,9 @@ class TestShmLifecycle:
         monitors, statements = scoring_setup
         baseline = set(_logr_shm_entries())
         pool = ScoringWorkerPool(2, registry=MetricsRegistry())
-        pool.publish("packed", 1, monitors["packed"])
-        pool.publish("dense", 1, monitors["dense"])
-        pool.score("packed", statements)
+        pool.publish("a", 1, monitors[2])
+        pool.publish("b", 1, monitors[3])
+        pool.score("a", statements)
         assert len(set(_logr_shm_entries()) - baseline) == 2
         pool.close()
         assert set(_logr_shm_entries()) - baseline == set()
@@ -154,7 +150,7 @@ class TestShmLifecycle:
         monitors, _ = scoring_setup
         baseline = set(_logr_shm_entries())
         pool = ScoringWorkerPool(1, registry=MetricsRegistry())
-        pool.publish("packed", 1, monitors["packed"])
+        pool.publish("a", 1, monitors[2])
         assert len(set(_logr_shm_entries()) - baseline) == 1
         processes = list(pool._processes)
         pool._finalizer()  # what gc / interpreter exit would run
@@ -167,10 +163,10 @@ class TestShmLifecycle:
         monitors, _ = scoring_setup
         baseline = set(_logr_shm_entries())
         with ScoringWorkerPool(1, registry=MetricsRegistry()) as pool:
-            pool.publish("packed", 1, monitors["packed"])
-            pool.retire("packed")
+            pool.publish("a", 1, monitors[2])
+            pool.retire("a")
             assert set(_logr_shm_entries()) - baseline == set()
-            pool.retire("packed")  # unknown/already-retired: no-op
+            pool.retire("a")  # unknown/already-retired: no-op
 
 
 class TestMetrics:
@@ -178,8 +174,8 @@ class TestMetrics:
         monitors, statements = scoring_setup
         registry = MetricsRegistry()
         with ScoringWorkerPool(2, registry=registry) as pool:
-            pool.publish("packed", 1, monitors["packed"])
-            pool.score("packed", statements)
+            pool.publish("a", 1, monitors[2])
+            pool.score("a", statements)
             pool.executor().map(abs, [-1])
             names = {snap.name for snap in registry.snapshot()}
             assert {

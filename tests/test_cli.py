@@ -1,6 +1,10 @@
 """Tests for the logr command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,34 +43,56 @@ class TestCompress:
         )
         assert rc == 0
 
-    def test_compress_backends_agree(self, log_file, tmp_path):
-        # --backend selects the containment kernel; both are exact, so
-        # the artifacts must agree on everything except the provenance
-        # that legitimately differs per run (backend name, build time).
-        outputs = {}
-        for backend in ("packed", "dense"):
-            out = tmp_path / f"summary-{backend}.json"
+    def test_compress_is_repeatable_for_a_seed(self, log_file, tmp_path):
+        # Artifacts agree on everything except the wall-clock provenance.
+        outputs = []
+        for run in range(2):
+            out = tmp_path / f"summary-{run}.json"
             rc = main(
-                [
-                    "compress", str(log_file), "-o", str(out),
-                    "-k", "3", "--backend", backend, "--seed", "1",
-                ]
+                ["compress", str(log_file), "-o", str(out), "-k", "3", "--seed", "1"]
             )
             assert rc == 0
             payload = json.loads(out.read_text())
-            payload.pop("backend")
+            assert payload.pop("backend") == "packed"
             payload.pop("build_seconds")
-            outputs[backend] = payload
-        assert outputs["packed"] == outputs["dense"]
+            outputs.append(payload)
+        assert outputs[0] == outputs[1]
 
-    def test_compress_rejects_unknown_backend(self, log_file, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "compress", str(log_file), "-o", str(tmp_path / "x.json"),
-                    "--backend", "sparse",
-                ]
-            )
+
+class TestEmptyLog:
+    """A log with nothing to encode exits with a one-line message."""
+
+    @pytest.mark.parametrize(
+        "content",
+        ["", "THIS IS NOT SQL @@@\nEXEC sp_x 1\n"],
+        ids=["empty", "unparseable"],
+    )
+    @pytest.mark.parametrize("command", ["compress", "sweep", "stats"])
+    def test_exits_naming_the_file(self, tmp_path, command, content):
+        path = tmp_path / "empty.sql"
+        path.write_text(content, encoding="utf-8")
+        out = tmp_path / "out.json"
+        extra = ["-o", str(out)] if command == "compress" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(path), *extra])
+        assert exc.value.code == (
+            f"logr {command}: {path}: no usable statements in the input log"
+        )
+        assert not out.exists()
+
+    def test_process_exits_non_zero_without_traceback(self, tmp_path):
+        path = tmp_path / "empty.sql"
+        path.write_text("", encoding="utf-8")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "stats", str(path)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            f"logr stats: {path}: no usable statements in the input log"
+        ]
 
 
 class TestStats:
