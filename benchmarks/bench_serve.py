@@ -154,22 +154,12 @@ def run_serve_bench(
     ramp: tuple[int, ...] = FULL_RAMP,
     requests_per_client: int = 40,
     target: float = SPEEDUP_TARGET,
-    score_workers: int = 2,
-    pool_target: float | None = None,
 ) -> float:
-    """Ramp the backends over *ramp*; gate async/threaded at the top.
-
-    ``score_workers > 0`` adds a third leg — the asyncio front end over
-    the shared-memory scoring worker pool — whose responses must stay
-    byte-identical to both in-process backends; *pool_target* (set on
-    ≥ 4-core machines) additionally gates pool/threaded req/s.
-    """
+    """Ramp both backends over *ramp*; gate async/threaded at the top."""
     store = _build_store(tmp_root, total)
     statements = _statements(total)
 
     backends = ["threaded", "async"]
-    if score_workers > 0:
-        backends.append("pool")
     rates: dict[str, dict[int, float]] = {name: {} for name in backends}
     reference: bytes | None = None
     for backend in backends:
@@ -177,16 +167,9 @@ def run_serve_bench(
             server = AnalyticsServer(
                 store, port=0, staleness_threshold=float("inf")
             )
-        elif backend == "async":
-            server = AsyncAnalyticsServer(
-                store, port=0, staleness_threshold=float("inf")
-            )
         else:
             server = AsyncAnalyticsServer(
-                store,
-                port=0,
-                staleness_threshold=float("inf"),
-                score_workers=score_workers,
+                store, port=0, staleness_threshold=float("inf")
             )
         with server:
             # Warmup requests load the profile and fill the monitor's
@@ -221,32 +204,16 @@ def run_serve_bench(
                 for n in ramp
             },
             "speedup_at_top": speedup,
-            **(
-                {
-                    "pool_speedup_at_top": (
-                        rates["pool"][top] / rates["threaded"][top]
-                    )
-                }
-                if "pool" in rates
-                else {}
-            ),
         },
         batch_statements=BATCH_STATEMENTS,
         requests_per_client=requests_per_client,
         top_clients=top,
-        score_workers=score_workers,
         cpu_count=os.cpu_count() or 1,
     )
     assert speedup >= target, (
         f"async backend is {speedup:.2f}x threaded at {top} clients; "
         f"gate is {target:.1f}x"
     )
-    if pool_target is not None and "pool" in rates:
-        pool_speedup = rates["pool"][top] / rates["threaded"][top]
-        assert pool_speedup >= pool_target, (
-            f"worker pool is {pool_speedup:.2f}x threaded at {top} "
-            f"clients; gate is {pool_target:.1f}x"
-        )
     return speedup
 
 
@@ -256,10 +223,7 @@ def run_serve_bench(
 def test_async_beats_threaded(tmp_path):
     cores = os.cpu_count() or 1
     target = SPEEDUP_TARGET_MULTICORE if cores >= 4 else SPEEDUP_TARGET
-    # Pool speed is only gated where parallelism can exist; on smaller
-    # hosts the pool leg still runs and its byte-identity is enforced.
-    pool_target = SPEEDUP_TARGET_MULTICORE if cores >= 4 else None
-    run_serve_bench(tmp_path / "store", target=target, pool_target=pool_target)
+    run_serve_bench(tmp_path / "store", target=target)
 
 
 # ----------------------------------------------------------------------
@@ -268,9 +232,6 @@ def test_async_beats_threaded(tmp_path):
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     smoke = "--smoke" in argv
-    score_workers = 2
-    if "--score-workers" in argv:
-        score_workers = int(argv[argv.index("--score-workers") + 1])
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -282,10 +243,9 @@ def main(argv: list[str] | None = None) -> int:
                 ramp=SMOKE_RAMP,
                 requests_per_client=25,
                 target=SPEEDUP_TARGET,
-                score_workers=score_workers,
             )
         else:
-            speedup = run_serve_bench(root, score_workers=score_workers)
+            speedup = run_serve_bench(root)
     print(f"bench serve: PASS (async {speedup:.1f}x threaded req/s)")
     return 0
 

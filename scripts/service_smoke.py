@@ -1,14 +1,12 @@
 """CI smoke test: compress → store → serve → score → ingest → teardown.
 
-Builds a tiny TPC-H-like profile in a temp store and exercises the
-serving backends (the threaded ``AnalyticsServer``, the asyncio
+Builds a tiny TPC-H-like profile in a temp store and exercises both
+serving backends (the threaded ``AnalyticsServer`` and the asyncio
 micro-batching ``AsyncAnalyticsServer`` — the two ``--server-backend``
-values — and the async backend again over the shared-memory scoring
-worker pool, ``--score-workers 2``) on ephemeral ports: scores a
-100-query batch through the HTTP client, runs one ingest round,
-verifies the store advanced a version, scrapes ``/metrics`` and checks
-the exposition reflects the traffic (including the async transport's
-batch-size and queue-depth families and the pool's ``logr_pool_*``
+values) on ephemeral ports: scores a 100-query batch through the HTTP
+client, runs one ingest round, verifies the store advanced a version,
+scrapes ``/metrics`` and checks the exposition reflects the traffic
+(including the async transport's batch-size and queue-depth
 families), and shuts down.  Exits non-zero on any failure; runtime is
 a few seconds so it fits the fast CI budget.
 
@@ -21,6 +19,7 @@ from __future__ import annotations
 
 import sys
 import tempfile
+import time
 
 from pathlib import Path
 
@@ -53,9 +52,7 @@ def run_backend(backend: str, workload, log, compressed) -> None:
         store = SummaryStore(root)
         store.save("tpch", compressed, log, note="smoke seed")
 
-        if backend == "pool":
-            server = AsyncAnalyticsServer(store, port=0, score_workers=2)
-        elif backend == "async":
+        if backend == "async":
             server = AsyncAnalyticsServer(store, port=0)
         else:
             server = AnalyticsServer(store, port=0)
@@ -94,25 +91,34 @@ def run_backend(backend: str, workload, log, compressed) -> None:
             assert cache["hit_rate"] > 0.5, cache
 
             # /metrics: the exposition must carry the same traffic the
-            # /stats counters saw, plus the library-layer families.
-            text = client.metrics()
+            # /stats counters saw, plus the library-layer families.  The
+            # threaded transport observes a request's latency after
+            # writing its response, so the last /score's observation
+            # can trail the client by a moment: re-scrape until it
+            # lands, for at most a few seconds.
+            deadline = time.monotonic() + 5.0
+            while True:
+                text = client.metrics()
+                samples = parse_exposition(text)
+                latency_count = samples[
+                    'logr_http_request_seconds_count{endpoint="score"}'
+                ]
+                if latency_count >= 2 or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            assert latency_count >= 2, latency_count
             assert text.startswith("# HELP"), text[:80]
-            samples = parse_exposition(text)
             score_total = samples['logr_http_requests_total{endpoint="score"}']
             assert score_total >= 2, score_total
             ingest_total = samples['logr_http_requests_total{endpoint="ingest"}']
             assert ingest_total >= 1, ingest_total
-            latency_count = samples[
-                'logr_http_request_seconds_count{endpoint="score"}'
-            ]
-            assert latency_count >= 2, latency_count
             assert samples["logr_http_queries_scored_total"] >= 110, samples
             assert samples["logr_ingest_batches_total"] >= 1, samples
             assert (
                 samples['logr_ingest_statements_total{outcome="encoded"}'] >= 100
             ), samples
 
-            if backend in ("async", "pool"):
+            if backend == "async":
                 # The micro-batching transport's own families: every
                 # /score flush lands in the batch-size histogram, and
                 # the ingest admission gauge reads 0 once traffic has
@@ -125,33 +131,6 @@ def run_backend(backend: str, workload, log, compressed) -> None:
                 assert depth == 0.0, depth
                 shed = samples['logr_serve_shed_total{endpoint="ingest"}']
                 assert shed == 0.0, shed
-
-            if backend == "pool":
-                # The worker pool's families: both workers are alive,
-                # the published snapshot holds shm segments, scoring
-                # traffic crossed the framed pipes, and nothing had to
-                # be respawned.
-                assert samples["logr_pool_workers"] == 2.0, samples
-                assert samples["logr_pool_segments"] >= 1.0, samples
-                scored_via_pool = sum(
-                    value
-                    for name, value in samples.items()
-                    if name.startswith("logr_pool_requests_total{")
-                    and 'kind="score"' in name
-                )
-                assert scored_via_pool >= 2, scored_via_pool
-                dispatches = sum(
-                    value
-                    for name, value in samples.items()
-                    if name.startswith("logr_pool_dispatch_seconds_count{")
-                )
-                assert dispatches >= 2, dispatches
-                respawns = sum(
-                    value
-                    for name, value in samples.items()
-                    if name.startswith("logr_pool_respawns_total{")
-                )
-                assert respawns == 0.0, respawns
 
         reloaded = store.load("tpch")
         assert reloaded.mixture.total == log.total + 100
@@ -193,13 +172,13 @@ def main() -> int:
     log = workload.to_query_log()
     compressed = LogRCompressor(n_clusters=2, seed=0, n_init=2).compress(log)
 
-    for backend in ("threaded", "async", "pool"):
+    for backend in ("threaded", "async"):
         run_backend(backend, workload, log, compressed)
 
     run_columnar_encode(workload)
 
     print(
-        "service smoke: PASS x3 backends (scored 100-query batch, "
+        "service smoke: PASS x2 backends (scored 100-query batch, "
         "ingested, v2 persisted, /metrics scrape verified) "
         "+ columnar encode telemetry"
     )

@@ -25,6 +25,12 @@ from ..sql import AligonExtractor, SqlError
 
 __all__ = ["QueryScore", "WorkloadMonitor"]
 
+#: Statement → feature-set memo capacity per monitor.  Query logs are
+#: hugely repetitive (the paper's PocketData log has 629,582 entries
+#: over 605 distinct statements), so memoizing extraction makes
+#: steady-state scoring parse-free.
+PARSE_MEMO_SIZE = 4096
+
 
 @dataclass
 class QueryScore:
@@ -50,11 +56,6 @@ class WorkloadMonitor:
             fraction of the *training* log scores as normal.
         threshold: explicit log2-likelihood alert threshold, bypassing
             calibration.
-        parse_cache_size: statement → feature-set memo capacity.  Query
-            logs are hugely repetitive (the paper's PocketData log has
-            629,582 entries over 605 distinct statements), so caching
-            extraction makes steady-state scoring parse-free.  0
-            disables the cache.
     """
 
     def __init__(
@@ -63,13 +64,11 @@ class WorkloadMonitor:
         training_log: QueryLog | None = None,
         threshold_quantile: float = 0.001,
         threshold: float | None = None,
-        parse_cache_size: int = 4096,
     ):
         if mixture.vocabulary is None:
             raise ValueError("mixture has no vocabulary attached")
         self.mixture = mixture
         self._extractor = AligonExtractor(remove_constants=True)
-        self._parse_cache_size = parse_cache_size
         self._parse_cache: OrderedDict[str, frozenset | SqlError] = OrderedDict()
         self._parse_lock = threading.Lock()
         if threshold is not None:
@@ -103,21 +102,19 @@ class WorkloadMonitor:
 
     def _extract_merged(self, sql: str) -> frozenset | SqlError:
         """Merged feature set of *sql* (memoized), or its parse error."""
-        if self._parse_cache_size:
-            with self._parse_lock:
-                hit = self._parse_cache.get(sql)
-                if hit is not None:
-                    self._parse_cache.move_to_end(sql)
-                    return hit
+        with self._parse_lock:
+            hit = self._parse_cache.get(sql)
+            if hit is not None:
+                self._parse_cache.move_to_end(sql)
+                return hit
         try:
             result: frozenset | SqlError = self._extractor.extract_merged(sql)
         except SqlError as exc:
             result = exc
-        if self._parse_cache_size:
-            with self._parse_lock:
-                self._parse_cache[sql] = result
-                while len(self._parse_cache) > self._parse_cache_size:
-                    self._parse_cache.popitem(last=False)
+        with self._parse_lock:
+            self._parse_cache[sql] = result
+            while len(self._parse_cache) > PARSE_MEMO_SIZE:
+                self._parse_cache.popitem(last=False)
         return result
 
     def score(self, sql: str) -> QueryScore:

@@ -202,13 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for staleness-triggered recompression",
     )
     serve.add_argument(
-        "--score-workers", type=int, default=0, metavar="N",
-        help="shared-memory scoring worker pool size: N > 0 spawns N "
-             "processes that map profile snapshots zero-copy and score "
-             "/score traffic (plus recompression) off the serving "
-             "process; 0 (default) scores in-process",
-    )
-    serve.add_argument(
         "--pane-statements", type=_positive_int, default=None, metavar="N",
         help="route every /ingest batch into windowed time panes of N "
              "statements (enables a growing /timeline per profile)",
@@ -600,7 +593,6 @@ def _cmd_serve(args) -> int:
         pane_statements=args.pane_statements,
         pane_clusters=args.pane_clusters,
         parse_cache_size=args.parse_cache_size if args.parse_cache else 0,
-        score_workers=args.score_workers,
     )
     server: AnalyticsServer | AsyncAnalyticsServer
     if args.server_backend == "async":

@@ -6,7 +6,7 @@ fit in memory.  This module is the disk tier that removes the cap: an
 encoded log becomes a *directory* of fixed-size row chunks, each chunk
 holding the packed uint64 words the kernels consume plus sidecars with
 the exact feature indices and multiplicities, behind a length-prefixed
-JSON header (the same framing as :mod:`repro.core.shmstate`).
+JSON header.
 
 Layout of one columnar log directory::
 
@@ -95,7 +95,7 @@ Row = tuple[tuple[int, ...], int]
 
 
 # ----------------------------------------------------------------------
-# header framing (shared with shmstate: [8-byte LE length][JSON])
+# header framing: [8-byte LE length][JSON]
 # ----------------------------------------------------------------------
 def _write_header(path: Path, header: dict[str, object]) -> int:
     payload = json.dumps(header, sort_keys=True).encode("utf-8")

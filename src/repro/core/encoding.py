@@ -149,23 +149,6 @@ class NaiveEncoding:
         """The naive encoding of *log*: its feature-marginal vector."""
         return cls(log.feature_marginals())
 
-    @classmethod
-    def from_clipped(cls, marginals: np.ndarray) -> "NaiveEncoding":
-        """Trusted constructor over pre-validated marginals, zero-copy.
-
-        The shared-memory attach path (:mod:`repro.core.shmstate` /
-        the scoring worker pool) re-wraps marginal rows exported from
-        an already-constructed encoding; ``__init__``'s asarray + clip
-        would copy the row and break the zero-copy contract.  The
-        caller asserts every value already lies in ``[0, 1]``.
-        """
-        marginals = np.asarray(marginals, dtype=float)
-        if marginals.ndim != 1:
-            raise ValueError("marginals must be a vector")
-        encoding = cls.__new__(cls)
-        encoding.marginals = marginals
-        return encoding
-
     # ------------------------------------------------------------------
     @property
     def n_features(self) -> int:

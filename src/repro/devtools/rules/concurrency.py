@@ -174,10 +174,10 @@ class GuardedByDiscipline(Rule):
     <lockname>``.  Every other read or write of that attribute in the
     file must then sit lexically inside ``with <receiver>.<lockname>:``
     on the *same receiver name* (multi-item ``with`` forms count) —
-    ``self._cache`` under ``with self._cache_lock:``, but equally the
-    worker pool's slot records (``slot.pending`` under ``with
-    slot.lock:``), whose guarded fields are declared in one class and
-    driven from another.  Two sanctioned escapes:
+    ``self._cache`` under ``with self._cache_lock:``, but equally a
+    record type's fields (``slot.pending`` under ``with slot.lock:``)
+    declared in one class and driven from another.  Two sanctioned
+    escapes:
 
     * ``__init__`` is exempt — construction happens-before publication;
     * a function whose ``def`` line carries ``# holds: <lockname>``

@@ -21,7 +21,6 @@ from .ingest import IncrementalIngestor, IngestReport
 from .server import AnalyticsServer, AnalyticsService, serve
 from .store import PaneSegment, ProfileVersion, StoreError, SummaryStore
 from .windows import WindowedProfile
-from .workers import ScoringWorkerPool
 
 __all__ = [
     "SummaryStore",
@@ -38,5 +37,4 @@ __all__ = [
     "serve_async",
     "AnalyticsClient",
     "ServiceError",
-    "ScoringWorkerPool",
 ]

@@ -15,13 +15,12 @@ single stdlib-``asyncio`` event loop that:
   (threaded) path — asserted by property tests and the
   ``bench_serve.py`` byte-identity gate;
 * applies **admission control** — a bounded ingest queue (overflow is
-  shed with ``429`` + ``Retry-After``), a request-body size limit
-  (``413``), and per-connection read timeouts — so overload degrades
-  by shedding, not by collapse;
+  shed with ``429`` + ``Retry-After``), the request-body size limit
+  both transports share (``413``), and per-connection read timeouts —
+  so overload degrades by shedding, not by collapse;
 * keeps the event loop non-blocking — every sync handler (store I/O,
   ingest merges, staleness-triggered recompression and cold pane
-  consolidation, which themselves run on the scoring worker pool or
-  the existing process executor) is dispatched to an *owned*, bounded
+  consolidation) is dispatched to an *owned*, bounded
   ``ThreadPoolExecutor`` that drains with the server — the loop's
   default executor is unbounded relative to the admission queue and
   never shut down;
@@ -51,7 +50,7 @@ from typing import Any, Sequence
 
 from .._clock import Stopwatch
 from ..obs.textfmt import CONTENT_TYPE as _METRICS_CONTENT_TYPE
-from .server import AnalyticsService, _body_length, _require
+from .server import AnalyticsService, _body_length, _Refused, _require
 from .store import StoreError, SummaryStore
 
 __all__ = ["AsyncAnalyticsServer", "serve_async"]
@@ -63,8 +62,6 @@ DEFAULT_BATCH_WINDOW_MS = 1.0
 DEFAULT_MAX_BATCH = 64
 #: Bounded ingest queue: pending dispatches beyond this are shed (429).
 DEFAULT_MAX_QUEUE = 64
-#: Request bodies above this many bytes are refused with 413.
-DEFAULT_MAX_BODY_BYTES = 8 << 20
 #: Per-connection read timeout (request line, headers, body), seconds.
 DEFAULT_REQUEST_TIMEOUT = 30.0
 #: How long shutdown waits for in-flight requests to complete, seconds.
@@ -235,7 +232,6 @@ class AsyncAnalyticsServer(AnalyticsService):
         max_batch: requests coalesced per sweep before an early flush.
         max_queue: bounded ingest queue — pending /ingest dispatches
             beyond this are shed with ``429`` + ``Retry-After``.
-        max_body_bytes: request bodies above this are refused (413).
         request_timeout: per-connection read timeout in seconds.
         drain_timeout: how long shutdown waits for in-flight requests.
         **kwargs: forwarded to :class:`AnalyticsService`.
@@ -249,7 +245,6 @@ class AsyncAnalyticsServer(AnalyticsService):
         batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS,
         max_batch: int = DEFAULT_MAX_BATCH,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
         **kwargs: Any,
@@ -260,7 +255,6 @@ class AsyncAnalyticsServer(AnalyticsService):
         self.batch_window_s = batch_window_ms / 1000.0
         self.max_batch = max_batch
         self.max_queue = max_queue
-        self.max_body_bytes = max_body_bytes
         self.request_timeout = request_timeout
         self.drain_timeout = drain_timeout
         # Serving telemetry, scraped through the shared /metrics.
@@ -405,10 +399,8 @@ class AsyncAnalyticsServer(AnalyticsService):
             if pending:
                 await asyncio.wait(pending, timeout=self.drain_timeout)
             # Last: stop the handler threads (everything above already
-            # completed or timed out), then release pooled resources
-            # (scoring workers, shm segments).
+            # completed or timed out).
             self._handler_pool.shutdown(wait=True)
-            self.close()
 
     # ------------------------------------------------------------------
     # connection handling
@@ -473,13 +465,10 @@ class AsyncAnalyticsServer(AnalyticsService):
                 lengths.append(value)
         try:
             length = _body_length(lengths, "transfer-encoding" in headers)
-        except ValueError as exc:
-            reject = (400, f"bad request framing: {exc}")
-            return _Request(method, path, headers, b"", reject)
-        if length > self.max_body_bytes:
-            # Refuse without reading the body (the 413 response closes
-            # the connection, discarding the rest).
-            reject = (413, f"request body exceeds {self.max_body_bytes} bytes")
+        except _Refused as refused:
+            # Refuse without reading the body (the response closes the
+            # connection, discarding the rest).
+            reject = (refused.status, str(refused))
             return _Request(method, path, headers, b"", reject)
         body = b""
         if length:

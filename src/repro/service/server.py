@@ -66,7 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from .._clock import Stopwatch
-from ..apps.monitor import QueryScore, WorkloadMonitor
+from ..apps.monitor import WorkloadMonitor
 from ..apps.stream import StreamingDriftMonitor
 from ..core.compress import CompressedLog
 from ..core.diff import feature_drift, mixture_divergence
@@ -82,12 +82,24 @@ from ..sql import AligonExtractor, SqlError
 from .ingest import IncrementalIngestor
 from .store import StoreError, SummaryStore
 from .windows import WindowedProfile
-from .workers import ScoringWorkerPool
 
 __all__ = ["AnalyticsService", "AnalyticsServer", "serve"]
 
 #: Default drift window, matching ``StreamingDriftMonitor``.
 DEFAULT_WINDOW_SIZE = 500
+
+
+def _recompression_executor(jobs: int) -> str | None:
+    """The executor recompression and pane consolidation run on.
+
+    They run on a handler thread of a multithreaded server, where fork
+    could duplicate locks held by other threads, so ``jobs > 1`` pins
+    spawn by *name*: a fresh pool per run, torn down after it.  That is
+    acceptable because recompression is staleness-gated and rare, and a
+    long-lived per-profile pool would outlive LRU eviction (a cache
+    drop has no close hook).
+    """
+    return "process:spawn" if jobs > 1 else None
 
 
 def _snapshot_mixture(mixture: PatternMixtureEncoding) -> PatternMixtureEncoding:
@@ -124,7 +136,6 @@ class _Profile:
         seed: int,
         jobs: int = 1,
         parse_cache_size: int = DEFAULT_CACHE_SIZE,
-        executor=None,
     ):
         self.name = name
         self.version = version
@@ -139,21 +150,7 @@ class _Profile:
                     staleness_threshold=staleness_threshold,
                     seed=seed,
                     jobs=jobs,
-                    # Recompression runs on a handler thread of a
-                    # multithreaded server: fork could duplicate locks
-                    # held by other threads, so an explicit executor is
-                    # either the service's long-lived scoring worker
-                    # pool (score_workers > 0) or the pinned-spawn
-                    # *name*, which builds and tears down a fresh pool
-                    # per recompression — acceptable because
-                    # recompression is staleness-gated and rare, and a
-                    # per-profile pool would outlive LRU eviction (no
-                    # close hook on cache drop).
-                    executor=(
-                        executor
-                        if executor is not None
-                        else ("process:spawn" if jobs > 1 else None)
-                    ),
+                    executor=_recompression_executor(jobs),
                     parse_cache=parse_cache_size > 0,
                     parse_cache_size=parse_cache_size or 1,
                 )
@@ -246,12 +243,6 @@ class AnalyticsService:
             ``/ingest`` (repeated statement templates skip the SQL
             parser; hit rates surface in ``/stats``).  0 disables the
             fast path.
-        score_workers: size of the shared-memory scoring worker pool
-            (:class:`~repro.service.workers.ScoringWorkerPool`).  0 —
-            the default — scores in-process; N > 0 spawns N worker
-            processes that map published profile snapshots zero-copy
-            and also host recompression / pane consolidation.  Results
-            are byte-identical either way.
     """
 
     def __init__(
@@ -265,7 +256,6 @@ class AnalyticsService:
         pane_statements: int | None = None,
         pane_clusters: int = 4,
         parse_cache_size: int = DEFAULT_CACHE_SIZE,
-        score_workers: int = 0,
     ):
         self.store = store
         self.cache_profiles = cache_profiles
@@ -276,7 +266,6 @@ class AnalyticsService:
         self.pane_statements = pane_statements
         self.pane_clusters = pane_clusters
         self.parse_cache_size = parse_cache_size
-        self.score_workers = score_workers
         self._cache: OrderedDict[str, _Profile] = OrderedDict()  # guarded-by: _cache_lock
         self._cache_lock = threading.Lock()
         self._load_locks: dict[str, threading.Lock] = {}  # guarded-by: _cache_lock
@@ -307,54 +296,6 @@ class AnalyticsService:
             "Seconds since server construction (set at scrape time).",
         )
         self._started = time.time()
-        # Shared-memory scoring worker pool (PR 9): when score_workers
-        # > 0, /score traffic and recompression fan out across spawned
-        # worker processes that map each profile's encoded state
-        # zero-copy from shared memory.  0 keeps the in-process path
-        # (byte-identical by construction — the pool reproduces it).
-        self.pool: ScoringWorkerPool | None = (
-            ScoringWorkerPool(score_workers, registry=self.registry)
-            if score_workers > 0
-            else None
-        )
-
-    # ------------------------------------------------------------------
-    # worker pool plumbing
-    # ------------------------------------------------------------------
-    def _scoring_executor(self):
-        """The executor heavy profile work (recompression, consolidation)
-        should run on: the long-lived worker pool when configured, else
-        the legacy pinned-spawn-by-name / in-process choice."""
-        if self.pool is not None:
-            return self.pool.executor()
-        return "process:spawn" if self.jobs > 1 else None
-
-    def _pool_score(self, name: str, handle: "_Profile", statements: list):
-        """Score *statements* on the worker pool, or ``None`` to fall back.
-
-        Publishes the handle's current snapshot if the pool has not
-        seen this (name, version) yet, then dispatches.  Any pool
-        failure — worker churn mid-retry, snapshot race, shutdown —
-        degrades to the in-process path, which is byte-identical, so
-        callers never surface pool internals as request errors.
-        """
-        if self.pool is None:
-            return None
-        try:
-            self.pool.ensure(name, handle.version, handle.monitor)
-            version, threshold, rows = self.pool.score(name, statements)
-        except Exception:
-            return None
-        scores = [
-            QueryScore(sql, log2_likelihood, anomalous, reason)
-            for sql, (log2_likelihood, anomalous, reason) in zip(statements, rows)
-        ]
-        return version, threshold, scores
-
-    def close(self) -> None:
-        """Release pooled resources (worker processes, shm segments)."""
-        if self.pool is not None:
-            self.pool.close()
 
     # ------------------------------------------------------------------
     # profile cache
@@ -387,7 +328,6 @@ class AnalyticsService:
                 seed=self.seed,
                 jobs=self.jobs,
                 parse_cache_size=self.parse_cache_size,
-                executor=self._scoring_executor(),
             )
             with self._cache_lock:
                 self._cache[name] = handle
@@ -426,8 +366,6 @@ class AnalyticsService:
                     note="persisted on cache eviction",
                 )
                 handle.dirty = False
-        if self.pool is not None:
-            self.pool.retire(handle.name)
 
     def _windowed(self, name: str) -> tuple[WindowedProfile, threading.Lock]:
         """The windowed-pane handle (and its mutation lock) for *name*.
@@ -456,7 +394,7 @@ class AnalyticsService:
                     n_clusters=self.pane_clusters,
                     seed=self.seed,
                     jobs=self.jobs,
-                    executor=self._scoring_executor(),
+                    executor=_recompression_executor(self.jobs),
                     parse_cache=self.parse_cache_size > 0,
                     parse_cache_size=self.parse_cache_size or 1,
                 )
@@ -575,13 +513,9 @@ class AnalyticsService:
         """POST /score — batched likelihood scoring."""
         name, statements = _require(body, "profile", "statements")
         handle = self._profile(name)
-        pooled = self._pool_score(name, handle, statements)
-        if pooled is not None:
-            version, threshold, scores = pooled
-        else:
-            monitor = handle.monitor  # atomic snapshot read: no lock
-            version, threshold = handle.version, monitor.threshold
-            scores = monitor.score_batch(statements)
+        monitor = handle.monitor  # atomic snapshot read: no lock
+        version, threshold = handle.version, monitor.threshold
+        scores = monitor.score_batch(statements)
         self._count("score", queries=len(statements))
         return self._score_payload(name, version, threshold, scores)
 
@@ -600,13 +534,9 @@ class AnalyticsService:
         """
         handle = self._profile(name)
         flat = [statement for batch in batches for statement in batch]
-        pooled = self._pool_score(name, handle, flat)
-        if pooled is not None:
-            version, threshold, scores = pooled
-        else:
-            monitor = handle.monitor  # one snapshot for the whole flush
-            version, threshold = handle.version, monitor.threshold
-            scores = monitor.score_batch(flat)
+        monitor = handle.monitor  # one snapshot for the whole flush
+        version, threshold = handle.version, monitor.threshold
+        scores = monitor.score_batch(flat)
         responses: list[dict] = []
         offset = 0
         for batch in batches:
@@ -636,14 +566,6 @@ class AnalyticsService:
         else:
             handle.dirty = True  # persisted later, on cache eviction
         handle.publish(version)
-        if self.pool is not None:
-            # Push the fresh snapshot eagerly so the next /score
-            # doesn't pay the export; failure here must not fail
-            # the ingest (scoring lazily re-publishes via ensure).
-            try:
-                self.pool.publish(name, version, handle.monitor)
-            except Exception:
-                pass
         return report, version
 
     def handle_ingest(self, body: dict) -> dict:
@@ -906,13 +828,12 @@ class AnalyticsServer(AnalyticsService):
         self._httpd.serve_forever()
 
     def shutdown(self) -> None:
-        """Stop serving, release the socket, and drain the worker pool."""
+        """Stop serving and release the socket."""
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
-        self.close()
 
     def __enter__(self) -> "AnalyticsServer":
         self.start()
@@ -965,24 +886,45 @@ def _require(body: dict, *keys: str):
     return values
 
 
+#: Request bodies above this many bytes are refused unread (413) by
+#: both transports.
+MAX_BODY_BYTES = 8 << 20
+
+
+class _Refused(Exception):
+    """A request both transports refuse without reading its body.
+
+    Answered with :attr:`status` and a closed connection: the stream
+    position after the request head is unknown, so keep-alive ends.
+    """
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 def _body_length(lengths: list[str], transfer_encoding: bool) -> int:
     """The body length a request's framing headers declare.
 
     *lengths* holds every ``Content-Length`` value sent.  Raises
-    ``ValueError`` for framing a keep-alive stream cannot recover from,
-    which both transports answer with 400 and a closed connection: any
-    ``Transfer-Encoding`` (its body would be read as the next request),
-    repeated ``Content-Length`` headers, or a value that is not a plain
-    non-negative decimal.
+    :class:`_Refused` with 400 for framing a keep-alive stream cannot
+    recover from — any ``Transfer-Encoding`` (its body would be read as
+    the next request), repeated ``Content-Length`` headers, or a value
+    that is not a plain non-negative decimal — and with 413 for a body
+    over :data:`MAX_BODY_BYTES`.
     """
+    bad = "bad request framing: "
     if transfer_encoding:
-        raise ValueError("Transfer-Encoding is not supported")
+        raise _Refused(400, bad + "Transfer-Encoding is not supported")
     if len(lengths) > 1:
-        raise ValueError("duplicate Content-Length headers")
+        raise _Refused(400, bad + "duplicate Content-Length headers")
     value = lengths[0].strip() if lengths else "0"
     if not (value.isascii() and value.isdigit()):
-        raise ValueError(f"invalid Content-Length {value!r}")
-    return int(value)
+        raise _Refused(400, bad + f"invalid Content-Length {value!r}")
+    length = int(value)
+    if length > MAX_BODY_BYTES:
+        raise _Refused(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+    return length
 
 
 def _json_float(value: float) -> float | str:
@@ -1022,12 +964,21 @@ def _make_handler(service: AnalyticsService):
             self.end_headers()
             self.wfile.write(body)
 
-        def _body(self) -> bytes:
-            """The raw request body; ``ValueError`` on malformed framing."""
-            length = _body_length(
-                self.headers.get_all("Content-Length", []),
-                "Transfer-Encoding" in self.headers,
-            )
+        def _body(self) -> bytes | None:
+            """The raw request body, or ``None`` once it was refused.
+
+            Every method reads its body before routing, so no body (of
+            a GET, or of a 404) is left on the keep-alive stream to be
+            served as the next request.
+            """
+            try:
+                length = _body_length(
+                    self.headers.get_all("Content-Length", []),
+                    "Transfer-Encoding" in self.headers,
+                )
+            except _Refused as refused:
+                self._send(refused.status, {"error": str(refused)}, close=True)
+                return None
             return self.rfile.read(length) if length else b""
 
         def _dispatch(self, fn, *args, endpoint: str | None = None) -> None:
@@ -1052,6 +1003,8 @@ def _make_handler(service: AnalyticsService):
 
         # -- routes ----------------------------------------------------
         def do_GET(self):  # noqa: N802 - stdlib name
+            if self._body() is None:
+                return
             path = self.path.rstrip("/")
             if path == "/profiles" or path == "":
                 self._dispatch(service.handle_profiles, endpoint="profiles")
@@ -1078,13 +1031,8 @@ def _make_handler(service: AnalyticsService):
                 self._send(404, {"error": f"unknown endpoint {self.path!r}"})
 
         def do_POST(self):  # noqa: N802 - stdlib name
-            # Read the body before routing, so even a 404 leaves the
-            # keep-alive stream at the next request.
-            try:
-                raw = self._body()
-            except ValueError as exc:
-                error = {"error": f"bad request framing: {exc}"}
-                self._send(400, error, close=True)
+            raw = self._body()
+            if raw is None:
                 return
             routes = {
                 "/score": service.handle_score,

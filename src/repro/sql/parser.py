@@ -8,7 +8,14 @@ of Aligon et al. (and our regularizer) needs.
 
 Parenthesized predicates vs. parenthesized arithmetic are disambiguated
 with token-index backtracking: the parser snapshots its position,
-attempts the predicate production, and rewinds on failure.
+attempts the predicate production, and rewinds on failure.  A failed
+attempt is remembered by position, so nested ambiguous parentheses are
+re-parsed as arithmetic without retrying each inner predicate (which
+made backtracking exponential in the nesting depth).
+
+Nesting is capped at :data:`MAX_NESTING` levels, so any input raises
+:class:`~repro.sql.errors.ParseError` rather than overflowing Python's
+recursion limit here or in the AST walkers downstream.
 
 Usage::
 
@@ -17,6 +24,8 @@ Usage::
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable, TypeVar
 
 from . import ast
 from .errors import ParseError
@@ -27,6 +36,17 @@ __all__ = ["Parser", "parse", "parse_many"]
 
 _COMPARISON_OPS = frozenset({"=", "!=", "<", "<=", ">", ">="})
 
+#: Deepest nesting a statement may have.  Each parenthesis, subquery,
+#: CASE, CAST, function call, NOT or unary sign opens one level.  A
+#: level costs at most 14 Python frames in this parser (a CASE nested
+#: in a WHEN condition) and at most 3 in each AST walker (normalize,
+#: regularize, extract), so a statement at the cap needs ~700 frames,
+#: leaving a server handler thread's own stack room under the default
+#: recursion limit of 1000.
+MAX_NESTING = 50
+
+_T = TypeVar("_T")
+
 
 class Parser:
     """Parses one token stream into a :class:`repro.sql.ast.Statement`."""
@@ -35,6 +55,9 @@ class Parser:
         self._tokens = tokens
         self._index = 0
         self._param_count = 0
+        self._depth = 0
+        # Token indices where a parenthesized predicate failed to parse.
+        self._failed_predicates: set[int] = set()
 
     # ------------------------------------------------------------------
     # token-stream helpers
@@ -73,11 +96,27 @@ class Parser:
         if not self._accept_punct(value):
             raise self._error(f"expected {value!r}")
 
-    def _snapshot(self) -> tuple[int, int]:
-        return self._index, self._param_count
+    def _snapshot(self) -> tuple[int, int, int]:
+        return self._index, self._param_count, self._depth
 
-    def _rewind(self, snapshot: tuple[int, int]) -> None:
-        self._index, self._param_count = snapshot
+    def _rewind(self, snapshot: tuple[int, int, int]) -> None:
+        self._index, self._param_count, self._depth = snapshot
+
+    def _nested(self, parse: Callable[..., _T], *args: Any) -> _T:
+        """Run *parse* one nesting level deeper.
+
+        Called only where the grammar recurses, so flat statements pay
+        nothing for the count.  Past :data:`MAX_NESTING` the statement
+        is rejected outright: the error leaves the depth above the cap,
+        which tells the backtracking in
+        :meth:`_parse_predicate_primary` not to retry another way.
+        """
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise self._error(f"nesting deeper than {MAX_NESTING} levels")
+        result = parse(*args)
+        self._depth -= 1
+        return result
 
     # ------------------------------------------------------------------
     # entry points
@@ -251,11 +290,11 @@ class Parser:
     def _parse_table_primary(self) -> ast.TableRef:
         if self._accept_punct("("):
             if self._current.is_keyword("SELECT"):
-                select = self._parse_select()
+                select = self._nested(self._parse_select)
                 self._expect_punct(")")
                 alias = self._parse_optional_alias()
                 return ast.SubqueryTable(select, alias)
-            ref = self._parse_table_ref()
+            ref = self._nested(self._parse_table_ref)
             self._expect_punct(")")
             return ref
         name = self._expect_identifier("table name")
@@ -296,14 +335,14 @@ class Parser:
 
     def _parse_not(self) -> ast.Predicate:
         if self._accept_keyword("NOT"):
-            return ast.Not(self._parse_not())
+            return ast.Not(self._nested(self._parse_not))
         return self._parse_predicate_primary()
 
     def _parse_predicate_primary(self) -> ast.Predicate:
         if self._current.is_keyword("EXISTS"):
             self._advance()
             self._expect_punct("(")
-            subquery = self._parse_select()
+            subquery = self._nested(self._parse_select)
             self._expect_punct(")")
             return ast.Exists(subquery)
         if self._current.is_keyword("TRUE", "FALSE"):
@@ -311,16 +350,22 @@ class Parser:
             # A bare boolean may still be compared: ``TRUE = TRUE`` is
             # not produced by our logs, so keep it simple.
             return ast.BoolLiteral(value)
-        if self._current.is_punct("("):
+        if (
+            self._current.is_punct("(")
+            and self._index not in self._failed_predicates
+        ):
             # Try a parenthesized predicate first; rewind to parse as a
             # parenthesized arithmetic expression on failure.
             snapshot = self._snapshot()
             self._advance()
             try:
-                inner = self._parse_or()
+                inner = self._nested(self._parse_or)
                 self._expect_punct(")")
             except ParseError:
+                if self._depth > MAX_NESTING:
+                    raise
                 self._rewind(snapshot)
+                self._failed_predicates.add(self._index)
             else:
                 return inner
         return self._parse_comparison()
@@ -354,7 +399,7 @@ class Parser:
     def _parse_in_tail(self, operand: ast.Expr, negated: bool) -> ast.Predicate:
         self._expect_punct("(")
         if self._current.is_keyword("SELECT"):
-            subquery = self._parse_select()
+            subquery = self._nested(self._parse_select)
             self._expect_punct(")")
             return ast.InSubquery(operand, subquery, negated)
         items = [self._parse_expression()]
@@ -396,7 +441,7 @@ class Parser:
     def _parse_unary(self) -> ast.Expr:
         if self._current.is_operator("-", "+"):
             op = self._advance().value
-            return ast.UnaryOp(op, self._parse_unary())
+            return ast.UnaryOp(op, self._nested(self._parse_unary))
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expr:
@@ -426,14 +471,14 @@ class Parser:
             self._advance()
             return ast.Literal(False)
         if token.is_keyword("CASE"):
-            return self._parse_case()
+            return self._nested(self._parse_case)
         if token.is_keyword("CAST"):
-            return self._parse_cast()
+            return self._nested(self._parse_cast)
         if token.kind is TokenKind.IDENT:
             return self._parse_name_or_call()
         if token.is_punct("("):
             self._advance()
-            expr = self._parse_expression()
+            expr = self._nested(self._parse_expression)
             self._expect_punct(")")
             return expr
         raise self._error("expected an expression")
@@ -473,7 +518,7 @@ class Parser:
     def _parse_name_or_call(self) -> ast.Expr:
         name = self._advance().value
         if self._accept_punct("("):
-            return self._parse_call_tail(name)
+            return self._nested(self._parse_call_tail, name)
         if self._accept_punct("."):
             column = self._expect_identifier("column name")
             return ast.ColumnRef(column, table=name)

@@ -31,6 +31,7 @@ from repro.service import (
     SummaryStore,
 )
 from repro.service.client import _RETRIES
+from repro.sql.parser import MAX_NESTING
 from repro.workloads import generate_tpch
 
 
@@ -192,6 +193,17 @@ def _exchange(server, raw: bytes) -> tuple[int, dict[str, str], bytes, bytes]:
     return int(status_line.split()[1]), headers, body, received
 
 
+def _read_response(stream) -> tuple[int, bytes]:
+    """(status, body) of the next response on a keep-alive stream."""
+    status = int(stream.readline().split()[1])
+    length = 0
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    return status, stream.read(length)
+
+
 #: Request heads whose body framing cannot be trusted; the chunked one
 #: carries a second request inside its body that must never be served.
 _BAD_FRAMING = {
@@ -224,15 +236,41 @@ class TestRequestFraming:
         assert async_body == threaded_body
 
     def test_oversized_body_is_413_unread(self, transports):
-        _, batched = transports
-        status, headers, body, _ = _exchange(
-            batched,
-            b"POST /score HTTP/1.1\r\nHost: x\r\n"
-            b"Content-Length: 999999999999\r\n\r\n",
+        bodies = []
+        for server in transports:
+            status, headers, body, _ = _exchange(
+                server,
+                b"POST /score HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 100000000\r\n\r\n",
+            )
+            assert status == 413
+            assert headers["connection"] == "close"
+            assert "exceeds" in json.loads(body)["error"]
+            bodies.append(body)
+        threaded_body, async_body = bodies
+        assert async_body == threaded_body
+
+    def test_get_body_is_read_not_served(self, transports):
+        """A GET's body is consumed with the request, never parsed as
+        the next request on the keep-alive stream."""
+        smuggled = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+        request = (
+            b"GET /profiles HTTP/1.1\r\nHost: x\r\n"
+            + f"Content-Length: {len(smuggled)}\r\n\r\n".encode()
+            + smuggled
+            + b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
         )
-        assert status == 413
-        assert headers["connection"] == "close"
-        assert "exceeds" in json.loads(body)["error"]
+        for server in transports:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(request)
+                stream = sock.makefile("rb")
+                first = _read_response(stream)
+                second = _read_response(stream)
+            assert first[0] == 200
+            assert [p["name"] for p in json.loads(first[1])["profiles"]] == ["tpch"]
+            # The next response answers the request after the body.
+            assert second[0] == 404
+            assert "/nope" in json.loads(second[1])["error"]
 
     def test_client_header_cannot_forge_oversize(self, transports):
         _, batched = transports
@@ -243,6 +281,40 @@ class TestRequestFraming:
         )
         with urllib.request.urlopen(request, timeout=30) as response:
             assert response.status == 200
+
+
+class TestDeepNesting:
+    def test_deep_statement_scores_unparseable_alone(self, transports):
+        """A statement nested past the parser's cap is one unparseable
+        score, not a 500 for the whole batch; one at the cap (its most
+        frame-hungry shape, CASE inside WHEN) still parses on a
+        handler thread."""
+        deep = "SELECT a FROM t WHERE " + "(" * 1000 + "a = 1" + ")" * 1000
+        at_cap = (
+            "SELECT "
+            + "CASE WHEN " * MAX_NESTING
+            + "a = 1"
+            + " THEN 1 END = 1" * (MAX_NESTING - 1)
+            + " THEN 1 END FROM t"
+        )
+        batch = [_POOL[0], deep, at_cap, _POOL[1]]
+        bodies = []
+        for server in transports:
+            status, raw, _ = _post_raw(
+                server.url, "/score", {"profile": "tpch", "statements": batch}
+            )
+            assert status == 200
+            scores = json.loads(raw)["scores"]
+            assert scores[1]["log2_likelihood"] == "-inf"
+            assert scores[1]["reason"].startswith("unparseable: ")
+            assert "nesting deeper than" in scores[1]["reason"]
+            assert not scores[2]["reason"].startswith("unparseable")
+            assert all(
+                isinstance(scores[i]["log2_likelihood"], float) for i in (0, 3)
+            )
+            bodies.append(raw)
+        threaded_body, async_body = bodies
+        assert async_body == threaded_body
 
 
 def _get_metrics(base: str) -> str:
