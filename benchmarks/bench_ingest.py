@@ -1,13 +1,16 @@
 """Ingestion-throughput benchmark: the fingerprint-cached fast path.
 
-The ingest front end used to run the full pure-Python lex → parse →
-normalize → regularize → extract pipeline on every statement.  Real
-query logs are overwhelmingly repeated templates (PocketData: 629,582
-entries over 605 distinct feature vectors), so the fingerprint cache
-(:mod:`repro.core.featurecache`) lets repeated templates skip the
-parser entirely.  This bench measures statements/sec through
+Running the full pure-Python lex → parse → normalize → regularize →
+extract pipeline on every statement is the cold path.  Real query logs
+are overwhelmingly repeated templates (PocketData: 629,582 entries over
+605 distinct feature vectors), so the fingerprint cache
+(:mod:`repro.core.featurecache`) — the library's only statement
+encoder — lets repeated templates skip the parser entirely.  This bench
+measures statements/sec through
 :class:`repro.service.ingest.IncrementalIngestor` and
-:func:`repro.workloads.logio.load_log`:
+:func:`repro.workloads.logio.load_log` against a bench-local cold
+reference (:func:`_cold_ingest`, :func:`_cold_load_log`: the plain
+extractor on every statement):
 
 * **warm vs cold on a realistic workload** — a 250k-statement US-Bank-
   like log (>90% template repetition): the cached path must be ≥5×
@@ -30,11 +33,14 @@ from __future__ import annotations
 
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from repro.core.compress import LogRCompressor
+from repro.core.log import LogBuilder
 from repro.service.ingest import IncrementalIngestor
+from repro.sql import AligonExtractor, SqlError
 from repro.workloads import generate_bank
 from repro.workloads.logio import load_log
 
@@ -59,28 +65,65 @@ SEED_SLICE = 20_000
 EQUALITY_SLICE = 8_000
 
 
-def _seeded_ingestor(seed_statements, parse_cache: bool):
+def _is_procedure(statement: str) -> bool:
+    upper = statement.lstrip().upper()
+    return upper.startswith("EXEC ") or upper.startswith("CALL ")
+
+
+def _cold_ingest(ingestor, statements):
+    """Cold reference for ``ingest_statements``: extract every statement,
+    skip procedures and failures, merge with ``ingest_feature_sets``."""
+    extractor = AligonExtractor(remove_constants=True)
+    feature_sets = []
+    for statement in statements:
+        if _is_procedure(statement):
+            continue
+        try:
+            feature_sets.append(extractor.extract_merged(statement))
+        except SqlError:
+            continue
+    return ingestor.ingest_feature_sets(feature_sets)
+
+
+def _cold_load_log(statements):
+    """Cold reference for ``load_log``: the plain extractor behind a
+    raw-string memo, with no fingerprint layer."""
+    extractor = AligonExtractor(remove_constants=True)
+    builder = LogBuilder()
+    memo: dict[str, frozenset | None] = {}
+    for statement in statements:
+        if _is_procedure(statement):
+            continue
+        if statement not in memo:
+            try:
+                memo[statement] = extractor.extract_merged(statement)
+            except SqlError:
+                memo[statement] = None
+        features = memo[statement]
+        if features is not None:
+            builder.add(features)
+    return builder.build()
+
+
+def _seeded_ingestor(seed_statements, cold: bool = False):
     """A profile compressed from *seed_statements*, ready to ingest."""
-    log, _ = load_log(seed_statements, parse_cache=parse_cache)
+    log = _cold_load_log(seed_statements) if cold else load_log(seed_statements)[0]
     compressed = LogRCompressor(n_clusters=8, seed=0).compress(log)
     return IncrementalIngestor(
-        compressed,
-        log,
-        staleness_threshold=float("inf"),
-        parse_cache=parse_cache,
+        compressed, log, staleness_threshold=float("inf")
     )
 
 
-def _ingest_rate(ingestor, statements, batch_size: int = 1_000) -> float:
+def _ingest_rate(ingest, statements, batch_size: int = 1_000) -> float:
     start = time.perf_counter()
     for i in range(0, len(statements), batch_size):
-        ingestor.ingest_statements(statements[i : i + batch_size])
+        ingest(statements[i : i + batch_size])
     return len(statements) / (time.perf_counter() - start)
 
 
-def _load_rate(statements, parse_cache: bool) -> float:
+def _load_rate(load, statements) -> float:
     start = time.perf_counter()
-    load_log(statements, parse_cache=parse_cache)
+    load(statements)
     return len(statements) / (time.perf_counter() - start)
 
 
@@ -115,15 +158,15 @@ def run_bank_bench(
     traffic = statements[seed_slice:]
     repetition = _repetition_rate(traffic)
 
-    cold = _seeded_ingestor(seed_statements, parse_cache=False)
-    cold_rate = _ingest_rate(cold, traffic[:cold_slice])
-    warm = _seeded_ingestor(seed_statements, parse_cache=True)
-    warm_rate = _ingest_rate(warm, traffic)
+    cold = _seeded_ingestor(seed_statements, cold=True)
+    cold_rate = _ingest_rate(partial(_cold_ingest, cold), traffic[:cold_slice])
+    warm = _seeded_ingestor(seed_statements)
+    warm_rate = _ingest_rate(warm.ingest_statements, traffic)
     stats = warm.parse_cache_stats["rows"]
     speedup = warm_rate / cold_rate
 
-    load_cold = _load_rate(statements[:cold_slice], parse_cache=False)
-    load_warm = _load_rate(statements, parse_cache=True)
+    load_cold = _load_rate(_cold_load_log, statements[:cold_slice])
+    load_warm = _load_rate(load_log, statements)
 
     print_table(
         "Bench ingest: fingerprint cache on the bank workload",
@@ -167,10 +210,10 @@ def run_adversarial_bench(total: int = 30_000) -> float:
     seed_statements = statements[: max(500, total // 10)]
     traffic = statements[len(seed_statements) :]
 
-    cold = _seeded_ingestor(seed_statements, parse_cache=False)
-    cold_rate = _ingest_rate(cold, traffic)
-    warm = _seeded_ingestor(seed_statements, parse_cache=True)
-    warm_rate = _ingest_rate(warm, traffic)
+    cold = _seeded_ingestor(seed_statements, cold=True)
+    cold_rate = _ingest_rate(partial(_cold_ingest, cold), traffic)
+    warm = _seeded_ingestor(seed_statements)
+    warm_rate = _ingest_rate(warm.ingest_statements, traffic)
     stats = warm.parse_cache_stats["rows"]
     ratio = warm_rate / cold_rate
 
@@ -207,16 +250,15 @@ def run_equality_check(total: int = EQUALITY_SLICE) -> None:
     )
     statements = list(workload.statements(shuffle=True, seed=1))
     seed_statements, traffic = statements[: total // 4], statements[total // 4 :]
-    results = {}
-    for cached in (True, False):
-        ingestor = _seeded_ingestor(seed_statements, parse_cache=cached)
-        ingestor.ingest_statements(traffic)
-        results[cached] = ingestor
-    warm_log, cold_log = results[True].log, results[False].log
+    warm = _seeded_ingestor(seed_statements)
+    warm.ingest_statements(traffic)
+    cold = _seeded_ingestor(seed_statements, cold=True)
+    _cold_ingest(cold, traffic)
+    warm_log, cold_log = warm.log, cold.log
     assert np.array_equal(warm_log.matrix, cold_log.matrix)
     assert np.array_equal(warm_log.counts, cold_log.counts)
     assert list(warm_log.vocabulary) == list(cold_log.vocabulary)
-    assert results[True].compressed.error == results[False].compressed.error
+    assert warm.compressed.error == cold.compressed.error
     print("equality: cached == cold (matrix, counts, vocabulary, Error)")
 
 

@@ -24,13 +24,12 @@ pre-boundary statements into it and skew that score).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.diff import mixture_divergence
-from ..core.featurecache import DEFAULT_CACHE_SIZE, FeatureCache
+from ..core.featurecache import FeatureCache
 from ..core.log import LogBuilder, QueryLog
 from ..core.mixture import PatternMixtureEncoding
 from ..core.vocabulary import Vocabulary
@@ -75,13 +74,10 @@ class StreamingDriftMonitor:
         calibration_factor: multiplier over the self-divergence noise
             floor (default 10×).
         seed: RNG seed for calibration bootstrap.
-        parse_cache: fingerprint fast path — statements whose template
-            was seen before skip the SQL parser (bit-identical reports;
-            see :mod:`repro.core.featurecache`).
-        parse_cache_size: bounded-LRU capacity (distinct templates).
-        feature_cache: a shared template cache to reuse (overrides
-            *parse_cache*); must have been built with
-            ``remove_constants=True`` extraction.
+
+    Statements are encoded through a fingerprint cache
+    (:mod:`repro.core.featurecache`): a statement whose template was
+    seen before skips the SQL parser.
     """
 
     def __init__(
@@ -92,9 +88,6 @@ class StreamingDriftMonitor:
         baseline_log: QueryLog | None = None,
         calibration_factor: float = 10.0,
         seed: int | np.random.Generator | None = None,
-        parse_cache: bool = True,
-        parse_cache_size: int = DEFAULT_CACHE_SIZE,
-        feature_cache: FeatureCache | None = None,
     ):
         if baseline.vocabulary is None:
             raise ValueError("baseline mixture has no vocabulary attached")
@@ -102,27 +95,8 @@ class StreamingDriftMonitor:
             raise ValueError("window_size must be at least 10")
         self.baseline = baseline
         self.window_size = window_size
-        self._extractor = AligonExtractor(remove_constants=True)
-        if feature_cache is not None:
-            extractor = feature_cache.extractor
-            if (
-                getattr(extractor, "remove_constants", None)
-                != self._extractor.remove_constants
-                or getattr(extractor, "max_disjuncts", None)
-                != self._extractor.max_disjuncts
-            ):
-                raise ValueError(
-                    "shared feature_cache was built with different parsing "
-                    "knobs than this monitor"
-                )
-            self._cache: FeatureCache | None = feature_cache
-        elif parse_cache:
-            self._cache = FeatureCache(
-                self._extractor, max_templates=parse_cache_size
-            )
-        else:
-            self._cache = None
-        self._buffer: deque[frozenset] = deque()
+        self._cache = FeatureCache(AligonExtractor(remove_constants=True))
+        self._buffer: list[frozenset] = []
         self._pending_raw = 0
         self._window_index = 0
         self.reports: list[WindowReport] = []
@@ -187,35 +161,47 @@ class StreamingDriftMonitor:
             room = self.window_size - self._pending_raw
             chunk = statements[position : position + room]
             position += len(chunk)
-            self._ingest_chunk(chunk)
+            self._pending_raw += len(chunk)
+            self._buffer.extend(self._encode(chunk))
             if self._pending_raw >= self.window_size:
                 reports.append(self._close_window())
         return reports
 
-    def _ingest_chunk(self, chunk) -> None:
-        """Encode one within-pane chunk into the open window's buffer.
+    def batch_divergence(
+        self, statements
+    ) -> tuple[float, PatternMixtureEncoding | None, int]:
+        """``(divergence_bits, mixture, n_encoded)`` of the whole batch as
+        one window, computed as a pane's report is, without touching
+        pane state; templates just fed to :meth:`observe_many` come from
+        the cache, not the parser."""
+        encoded = self._encode(statements)
+        divergence, mixture = self._summarize(encoded)
+        return divergence, mixture, len(encoded)
 
-        Repeated templates come straight from the fingerprint cache —
-        the feature set appended is identical either way, so drift
-        reports do not depend on the cache being on.
-        """
-        for statement in chunk:
-            self._pending_raw += 1
-            if self._cache is not None:
-                try:
-                    self._buffer.append(self._cache.extract_merged(statement))
-                except SqlError:
-                    pass
-                continue
+    def _encode(self, statements) -> list[frozenset]:
+        """Merged feature sets of the parseable *statements* (garbage is
+        dropped); repeated templates come straight from the cache."""
+        encoded = []
+        for statement in statements:
             try:
-                feature_sets = self._extractor.extract(statement)
+                encoded.append(self._cache.extract_merged(statement))
             except SqlError:
-                continue
-            if feature_sets:
-                merged: set = set()
-                for feature_set in feature_sets:
-                    merged.update(feature_set)
-                self._buffer.append(frozenset(merged))
+                pass
+        return encoded
+
+    def _summarize(
+        self, encoded: list[frozenset]
+    ) -> tuple[float, PatternMixtureEncoding | None]:
+        """Divergence from the baseline of the window *encoded* forms,
+        and that window's naive mixture (``inf`` and ``None`` when the
+        window is pure garbage)."""
+        if not encoded:
+            return float("inf"), None
+        builder = LogBuilder(Vocabulary(self.baseline.vocabulary))
+        for features in encoded:
+            builder.add(features)
+        mixture = PatternMixtureEncoding.from_log(builder.build())
+        return mixture_divergence(self.baseline, mixture), mixture
 
     def timeline(self) -> list[WindowReport]:
         """Every completed pane's report, oldest first.
@@ -228,22 +214,11 @@ class StreamingDriftMonitor:
 
     def _close_window(self) -> WindowReport:
         n_statements = self._pending_raw
-        encoded = list(self._buffer)
-        self._buffer.clear()
+        encoded = self._buffer
+        self._buffer = []
         self._pending_raw = 0
         self._window_index += 1
-
-        if encoded:
-            builder = LogBuilder(Vocabulary(self.baseline.vocabulary))
-            for features in encoded:
-                builder.add(features)
-            window_log = builder.build()
-            window_mixture = PatternMixtureEncoding.from_log(window_log)
-            divergence = mixture_divergence(self.baseline, window_mixture)
-            error_bits = window_mixture.error()
-        else:
-            divergence = float("inf")  # a window of pure garbage
-            error_bits = None
+        divergence, mixture = self._summarize(encoded)
         report = WindowReport(
             window_index=self._window_index,
             n_statements=n_statements,
@@ -251,7 +226,7 @@ class StreamingDriftMonitor:
             divergence_bits=divergence,
             drifted=divergence > self.threshold,
             threshold=self.threshold,
-            error_bits=error_bits,
+            error_bits=None if mixture is None else mixture.error(),
         )
         self.reports.append(report)
         return report

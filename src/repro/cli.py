@@ -27,12 +27,6 @@ Commands:
 * ``logr timeline STORE_DIR PROFILE`` — the per-pane Error/JS-drift
   series of a windowed profile (summaries only, no raw statements).
 
-Parsing-heavy commands (``compress``, ``sweep``, ``stats``, ``ingest``,
-``serve``) accept ``--parse-cache/--no-parse-cache`` and
-``--parse-cache-size N``: the fingerprint fast path that lets repeated
-statement templates skip the SQL parser (results are bit-identical
-either way; see :mod:`repro.core.featurecache`).
-
 ``compress``, ``sweep``, and ``ingest`` accept ``--trace-out FILE``:
 the run executes under a :mod:`repro.obs` tracer and the span tree
 (pipeline stages, ingest batches, recompressions — with wall-clock
@@ -54,7 +48,6 @@ from .core.compress import (
     load_artifact,
 )
 from .core.executor import EXECUTOR_KINDS
-from .core.featurecache import DEFAULT_CACHE_SIZE
 from .sql.features import Feature
 from .viz.render import render_mixture
 from .core.colstore import DEFAULT_CHUNK_ROWS
@@ -75,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     compress.add_argument("-k", "--clusters", type=int, default=8)
     _add_compression_arguments(compress)
     _add_parallel_arguments(compress)
-    _add_parse_cache_arguments(compress)
     _add_trace_arguments(compress)
     compress.add_argument(
         "--shards", type=int, default=1,
@@ -126,12 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_compression_arguments(sweep)
     _add_parallel_arguments(sweep)
-    _add_parse_cache_arguments(sweep)
     _add_trace_arguments(sweep)
 
     stats = sub.add_parser("stats", help="dataset statistics for a SQL log file")
     stats.add_argument("log", type=Path)
-    _add_parse_cache_arguments(stats)
 
     estimate = sub.add_parser("estimate", help="estimate pattern counts")
     estimate.add_argument("summary", type=Path, help="compressed artifact (JSON)")
@@ -210,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--pane-clusters", type=_positive_int, default=4,
         help="mixture components fitted per pane (with --pane-statements)",
     )
-    _add_parse_cache_arguments(serve)
 
     ingest = sub.add_parser(
         "ingest", help="merge a statement mini-batch into a stored profile"
@@ -233,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="mixture components fitted per pane (with --pane-statements)",
     )
     _add_parallel_arguments(ingest)
-    _add_parse_cache_arguments(ingest)
     _add_trace_arguments(ingest)
 
     window = sub.add_parser(
@@ -316,20 +304,6 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_parse_cache_arguments(parser: argparse.ArgumentParser) -> None:
-    """The fingerprint fast-path knobs shared by parsing-heavy commands."""
-    parser.add_argument(
-        "--parse-cache", action=argparse.BooleanOptionalAction, default=True,
-        help="fingerprint-cache repeated statement templates so they "
-             "skip the SQL parser (results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--parse-cache-size", type=_positive_int, default=DEFAULT_CACHE_SIZE,
-        metavar="N",
-        help="bounded LRU capacity of the parse cache (distinct templates)",
-    )
-
-
 def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     """The span-tracing knob shared by the traced subcommands."""
     parser.add_argument(
@@ -408,16 +382,11 @@ def _cmd_compress(args) -> int:
             args.out_of_core,
             chunk_rows=args.chunk_rows,
             remove_constants=not args.keep_constants,
-            parse_cache=args.parse_cache,
-            parse_cache_size=args.parse_cache_size,
         )
         log = None
     else:
         log, report = load_log(
-            statements,
-            remove_constants=not args.keep_constants,
-            parse_cache=args.parse_cache,
-            parse_cache_size=args.parse_cache_size,
+            statements, remove_constants=not args.keep_constants
         )
         source = log
     if args.shards > 1 or args.out_of_core is not None:
@@ -468,12 +437,7 @@ def _cmd_sweep(args) -> int:
     if not ks or any(k < 1 for k in ks):
         raise SystemExit("--ks needs at least one K >= 1")
     statements = read_log(args.log)
-    log, report = load_log(
-        statements,
-        remove_constants=not args.keep_constants,
-        parse_cache=args.parse_cache,
-        parse_cache_size=args.parse_cache_size,
-    )
+    log, report = load_log(statements, remove_constants=not args.keep_constants)
     points = compress_sweep(
         log,
         ks,
@@ -514,11 +478,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_stats(args) -> int:
     statements = read_log(args.log)
-    log, report = load_log(
-        statements,
-        parse_cache=args.parse_cache,
-        parse_cache_size=args.parse_cache_size,
-    )
+    log, report = load_log(statements)
     print(f"# Statements            {report.total_statements}")
     print(f"# Parsed                {report.parsed}")
     print(f"# Unparseable           {report.unparseable}")
@@ -592,7 +552,6 @@ def _cmd_serve(args) -> int:
         jobs=args.jobs,
         pane_statements=args.pane_statements,
         pane_clusters=args.pane_clusters,
-        parse_cache_size=args.parse_cache_size if args.parse_cache else 0,
     )
     server: AnalyticsServer | AsyncAnalyticsServer
     if args.server_backend == "async":
@@ -640,8 +599,6 @@ def _cmd_ingest(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
         executor=args.executor,
-        parse_cache=args.parse_cache,
-        parse_cache_size=args.parse_cache_size,
     )
     statements = read_log(args.log)
     report = ingestor.ingest_statements(statements)
@@ -664,8 +621,6 @@ def _cmd_ingest(args) -> int:
             seed=args.seed,
             jobs=args.jobs,
             executor=args.executor,
-            parse_cache=args.parse_cache,
-            parse_cache_size=args.parse_cache_size,
         )
         sealed = windowed.ingest(statements)
         final = windowed.roll(note=f"ingest {args.log.name}")

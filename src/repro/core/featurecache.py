@@ -1,13 +1,14 @@
-"""Fingerprint-keyed caches that let repeated templates skip the parser.
+"""Fingerprint-keyed caches: the one path from raw statement to features.
 
-Every ingest front end — :func:`repro.workloads.logio.load_log`,
+Real query logs are overwhelmingly repeated templates (PocketData:
+629,582 entries, 605 distinct feature vectors), so running the full
+lex → parse → normalize → regularize → extract pipeline on every
+statement is almost all wasted work.  Every ingest front end —
+:func:`repro.workloads.logio.load_log`,
 :class:`repro.service.ingest.IncrementalIngestor`,
 :class:`repro.apps.stream.StreamingDriftMonitor`, the server's
-``/ingest`` — used to run the full lex → parse → normalize →
-regularize → extract pipeline on every statement, even though real
-query logs are overwhelmingly repeated templates (PocketData: 629,582
-entries, 605 distinct feature vectors).  This module adds the two cache
-layers of the fast path:
+``/ingest`` and ``/drift`` — therefore encodes statements through the
+two cache layers of this module:
 
 * :class:`FeatureCache` — a bounded LRU from statement *fingerprint*
   (:func:`repro.sql.fingerprint.fingerprint`) to the template's
@@ -20,17 +21,20 @@ layers of the fast path:
 * :class:`VocabularyCache` — a per-codebook LRU from fingerprint to
   the *resolved vocabulary index row*.  The first resolution of a
   template replays ``vocabulary.add`` over the sorted feature tuple —
-  byte-for-byte the cold path's ``sorted(features, key=repr)``
-  interning loop — so feature-ID assignment order, and therefore every
-  downstream matrix, artifact, and score, is bit-identical with the
-  cache on or off.  Once resolved, a row is valid forever: vocabularies
-  are append-only, indices never move.
+  byte-for-byte the ``sorted(features, key=repr)`` interning loop of
+  :meth:`repro.core.log.LogBuilder.add` — so feature-ID assignment
+  order, and therefore every downstream matrix, artifact, and score,
+  is what running the plain extractor on every statement would give.
+  Once resolved, a row is valid forever: vocabularies are append-only,
+  indices never move.
 
 Determinism contract: for a fixed statement sequence and extractor
-configuration, cached and uncached ingestion produce identical
-``QueryLog``s (same vocabulary order, same matrices, same counts).
-Fingerprint failures (statements the lexer rejects) bypass the cache
-and take the cold path, preserving error accounting exactly.
+configuration, ingestion through the cache ≡ the plain extractor run
+on every statement — identical ``QueryLog``s (same vocabulary order,
+same matrices, same counts) and reports.  The tests keep that plain
+loop as the oracle.  Statements the lexer rejects have no fingerprint;
+they are memoized by raw string instead, preserving error accounting
+exactly.
 
 Thread safety: :class:`FeatureCache` serializes its map with a lock so
 it can be shared (e.g. across a server's pane ingestors).
@@ -112,8 +116,8 @@ class CachedTemplate:
     """One template's extraction outcome (success or failure).
 
     Attributes:
-        features: the merged feature tuple sorted by ``repr`` (the cold
-            path's interning order), or ``None`` for failures.
+        features: the merged feature tuple sorted by ``repr`` (the
+            vocabulary interning order), or ``None`` for failures.
         n_branches: conjunctive branches the statement regularized into
             (``load_log`` accounting); 0 for failures.
         error: the :class:`SqlError` extraction raised, or ``None``.
@@ -264,7 +268,8 @@ class VocabularyCache:
     The warm path of profile ingestion: a hit returns the frozen index
     set without touching the parser *or* the vocabulary.  Misses pull
     the template from the shared :class:`FeatureCache` and intern its
-    features in the cold path's exact ``sorted(…, key=repr)`` order.
+    features in the exact ``sorted(…, key=repr)`` order of
+    :meth:`repro.core.log.LogBuilder.add`.
     """
 
     def __init__(

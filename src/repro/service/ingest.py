@@ -31,10 +31,9 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from .._rng import ensure_rng
-from ..core.colstore import ColumnarLog
 from ..core.compress import CompressedLog, LogRCompressor
 from ..core.encoding import NaiveEncoding
-from ..core.featurecache import DEFAULT_CACHE_SIZE, FeatureCache, VocabularyCache
+from ..core.featurecache import FeatureCache, VocabularyCache
 from ..core.log import QueryLog
 from ..core.mixture import MixtureComponent, PatternMixtureEncoding
 from ..obs import metrics as _metrics
@@ -123,15 +122,13 @@ class IncrementalIngestor:
             the serial path at any worker count.
         remove_constants / max_disjuncts: statement-parsing knobs,
             matching :func:`repro.workloads.logio.load_log`.
-        parse_cache: enable the fingerprint fast path — repeated
-            statement templates skip the SQL parser entirely (see
-            :mod:`repro.core.featurecache`).  Results are bit-identical
-            either way; the cache only changes throughput.
-        parse_cache_size: bounded-LRU capacity (distinct templates).
-        feature_cache: a shared :class:`~repro.core.featurecache.
-            FeatureCache` to reuse (e.g. one per windowed profile,
-            shared across its panes); must match the parsing knobs.
-            Overrides *parse_cache*.
+        feature_cache: the :class:`~repro.core.featurecache.
+            FeatureCache` statements are encoded through (repeated
+            templates skip the SQL parser).  Pass a shared one to reuse
+            it (e.g. one per windowed profile, shared across its panes);
+            it must match the parsing knobs.  By default the ingestor
+            builds its own.  The per-codebook row cache takes its
+            capacity.
     """
 
     def __init__(
@@ -144,8 +141,6 @@ class IncrementalIngestor:
         executor=None,
         remove_constants: bool = True,
         max_disjuncts: int = 64,
-        parse_cache: bool = True,
-        parse_cache_size: int = DEFAULT_CACHE_SIZE,
         feature_cache: FeatureCache | None = None,
     ):
         mixture = compressed.mixture
@@ -165,11 +160,14 @@ class IncrementalIngestor:
         self._rng = ensure_rng(seed)
         self.jobs = jobs
         self.executor = executor
-        self._extractor = AligonExtractor(
-            remove_constants=remove_constants, max_disjuncts=max_disjuncts
-        )
         self._vocabulary = mixture.vocabulary
-        if feature_cache is not None:
+        if feature_cache is None:
+            feature_cache = FeatureCache(
+                AligonExtractor(
+                    remove_constants=remove_constants, max_disjuncts=max_disjuncts
+                )
+            )
+        else:
             extractor = feature_cache.extractor
             if (
                 getattr(extractor, "remove_constants", None) != remove_constants
@@ -179,19 +177,8 @@ class IncrementalIngestor:
                     "shared feature_cache was built with different parsing "
                     "knobs than this ingestor"
                 )
-            self._feature_cache: FeatureCache | None = feature_cache
-        elif parse_cache:
-            self._feature_cache = FeatureCache(
-                self._extractor, max_templates=parse_cache_size
-            )
-        else:
-            self._feature_cache = None
-        self._encoder = (
-            VocabularyCache(
-                self._feature_cache, self._vocabulary, max_rows=parse_cache_size
-            )
-            if self._feature_cache is not None
-            else None
+        self._encoder = VocabularyCache(
+            feature_cache, self._vocabulary, max_rows=feature_cache.max_templates
         )
         self._matrix = log.matrix.copy()
         self._counts = log.counts.copy()
@@ -265,20 +252,6 @@ class IncrementalIngestor:
             **kwargs,
         )
 
-    @classmethod
-    def from_columnar(
-        cls, log: ColumnarLog, **kwargs: object
-    ) -> "IncrementalIngestor":
-        """Bootstrap an ingestor from an on-disk columnar log.
-
-        Bulk history is encoded out-of-core (:func:`repro.workloads.
-        logio.load_log_columnar` / ``LogBuilder.build_columnar``) and
-        only materialized here, once, for the initial compression —
-        ``ColumnarLog.to_query_log`` is exact, so the profile is
-        bit-identical to bootstrapping from the in-RAM log.
-        """
-        return cls.from_log(log.to_query_log(), **kwargs)
-
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
@@ -293,10 +266,8 @@ class IncrementalIngestor:
         return self.compressed.error - self.baseline_error
 
     @property
-    def parse_cache_stats(self) -> dict | None:
-        """JSON-ready fingerprint-cache counters (``None``: cache off)."""
-        if self._encoder is None:
-            return None
+    def parse_cache_stats(self) -> dict:
+        """JSON-ready fingerprint-cache counters."""
         return self._encoder.stats_payload()
 
     # ------------------------------------------------------------------
@@ -305,10 +276,10 @@ class IncrementalIngestor:
     def ingest_statements(self, statements: Sequence[str]) -> IngestReport:
         """Parse and merge a mini-batch of raw SQL statements.
 
-        With the parse cache enabled (the default), statements whose
-        template was seen before resolve straight to their vocabulary
-        index row without touching the SQL parser; the result is
-        bit-identical to the cold path.
+        Statements whose template was seen before resolve straight to
+        their vocabulary index row without touching the SQL parser; the
+        result is bit-identical to extracting every statement and
+        merging the feature sets with :meth:`ingest_feature_sets`.
         """
         start = time.perf_counter()
         with _span("ingest.batch", statements=len(statements)):
@@ -325,14 +296,7 @@ class IncrementalIngestor:
                     n_procedures += 1
                     continue
                 try:
-                    if encoder is not None:
-                        indices = encoder.encode_indices(statement)
-                    else:
-                        merged = self._extractor.extract_merged(statement)
-                        indices = frozenset(
-                            self._vocabulary.add(f)
-                            for f in sorted(merged, key=repr)
-                        )
+                    indices = encoder.encode_indices(statement)
                 except SqlError:
                     n_unparseable += 1
                     continue

@@ -69,16 +69,14 @@ from .._clock import Stopwatch
 from ..apps.monitor import WorkloadMonitor
 from ..apps.stream import StreamingDriftMonitor
 from ..core.compress import CompressedLog
-from ..core.diff import feature_drift, mixture_divergence
-from ..core.featurecache import DEFAULT_CACHE_SIZE
-from ..core.log import LogBuilder, QueryLog
+from ..core.diff import feature_drift
+from ..core.log import QueryLog
 from ..core.mixture import MixtureComponent, PatternMixtureEncoding
 from ..core.encoding import NaiveEncoding
 from ..core.vocabulary import Vocabulary
 from ..obs import metrics as _metrics
 from ..obs.textfmt import CONTENT_TYPE as _METRICS_CONTENT_TYPE
 from ..obs.textfmt import render_text
-from ..sql import AligonExtractor, SqlError
 from .ingest import IncrementalIngestor
 from .store import StoreError, SummaryStore
 from .windows import WindowedProfile
@@ -135,7 +133,6 @@ class _Profile:
         staleness_threshold: float,
         seed: int,
         jobs: int = 1,
-        parse_cache_size: int = DEFAULT_CACHE_SIZE,
     ):
         self.name = name
         self.version = version
@@ -151,8 +148,6 @@ class _Profile:
                     seed=seed,
                     jobs=jobs,
                     executor=_recompression_executor(jobs),
-                    parse_cache=parse_cache_size > 0,
-                    parse_cache_size=parse_cache_size or 1,
                 )
             except ValueError:
                 # e.g. a refined mixture: it cannot be incrementally
@@ -239,10 +234,6 @@ class AnalyticsService:
             this many statements, split at boundaries); ``/window`` and
             ``/timeline`` serve sealed panes whether or not this is set.
         pane_clusters: components fitted per pane.
-        parse_cache_size: per-profile fingerprint-cache capacity for
-            ``/ingest`` (repeated statement templates skip the SQL
-            parser; hit rates surface in ``/stats``).  0 disables the
-            fast path.
     """
 
     def __init__(
@@ -255,7 +246,6 @@ class AnalyticsService:
         jobs: int = 1,
         pane_statements: int | None = None,
         pane_clusters: int = 4,
-        parse_cache_size: int = DEFAULT_CACHE_SIZE,
     ):
         self.store = store
         self.cache_profiles = cache_profiles
@@ -265,7 +255,6 @@ class AnalyticsService:
         self.jobs = jobs
         self.pane_statements = pane_statements
         self.pane_clusters = pane_clusters
-        self.parse_cache_size = parse_cache_size
         self._cache: OrderedDict[str, _Profile] = OrderedDict()  # guarded-by: _cache_lock
         self._cache_lock = threading.Lock()
         self._load_locks: dict[str, threading.Lock] = {}  # guarded-by: _cache_lock
@@ -327,7 +316,6 @@ class AnalyticsService:
                 staleness_threshold=self.staleness_threshold,
                 seed=self.seed,
                 jobs=self.jobs,
-                parse_cache_size=self.parse_cache_size,
             )
             with self._cache_lock:
                 self._cache[name] = handle
@@ -395,8 +383,6 @@ class AnalyticsService:
                     seed=self.seed,
                     jobs=self.jobs,
                     executor=_recompression_executor(self.jobs),
-                    parse_cache=self.parse_cache_size > 0,
-                    parse_cache_size=self.parse_cache_size or 1,
                 )
                 entry = (handle, threading.Lock())
                 self._windows[name] = entry
@@ -460,17 +446,12 @@ class AnalyticsService:
         # statement traffic is resolving without touching the parser.
         parse_cache: dict[str, dict] = {}
         for handle in handles:
-            if handle.ingestor is None:
-                continue
-            stats = handle.ingestor.parse_cache_stats
-            if stats is not None:
-                parse_cache[handle.name] = stats
+            if handle.ingestor is not None:
+                parse_cache[handle.name] = handle.ingestor.parse_cache_stats
         with self._windows_lock:
             windows = [(name, entry[0]) for name, entry in self._windows.items()]
         for name, windowed in windows:
-            stats = windowed.parse_cache_stats
-            if stats is not None:
-                parse_cache.setdefault(name, {})["panes"] = stats
+            parse_cache.setdefault(name, {})["panes"] = windowed.parse_cache_stats
         return {
             "uptime_seconds": time.time() - self._started,
             "requests": counters,
@@ -635,14 +616,15 @@ class AnalyticsService:
         threshold = body.get("threshold")
         threshold = None if threshold is None else float(threshold)
         handle = self._profile(name)
-        baseline = handle.monitor.mixture
         with handle.lock:
             monitor = handle.drift_monitor(window_size, threshold, self.seed)
             windows = monitor.observe_many(statements)
-        one_shot = _batch_divergence(baseline, statements)
+        # Outside the lock: this reads only the monitor's immutable
+        # baseline and its thread-safe template cache.
+        divergence, batch, n_encoded = monitor.batch_divergence(statements)
         self._count("drift")
         top = []
-        if one_shot["mixture"] is not None:
+        if batch is not None:
             top = [
                 {
                     "feature": str(d.feature),
@@ -652,20 +634,18 @@ class AnalyticsService:
                     "direction": d.direction,
                 }
                 for d in feature_drift(
-                    baseline, one_shot["mixture"], top_k=int(body.get("top", 10))
+                    monitor.baseline, batch, top_k=int(body.get("top", 10))
                 )
             ]
         return {
             "profile": name,
             "version": handle.version,
-            "batch_divergence_bits": _json_float(one_shot["divergence"]),
+            "batch_divergence_bits": _json_float(divergence),
             "batch_drifted": (
-                one_shot["divergence"] > monitor.threshold
-                if np.isfinite(one_shot["divergence"])
-                else True
+                divergence > monitor.threshold if np.isfinite(divergence) else True
             ),
             "threshold": _json_float(monitor.threshold),
-            "n_encoded": one_shot["n_encoded"],
+            "n_encoded": n_encoded,
             "top_features": top,
             "windows": [
                 {
@@ -841,29 +821,6 @@ class AnalyticsServer(AnalyticsService):
 
     def __exit__(self, *exc) -> None:
         self.shutdown()
-
-
-def _batch_divergence(
-    baseline: PatternMixtureEncoding, statements: list[str]
-) -> dict:
-    """One-shot divergence of a statement batch against *baseline*."""
-    extractor = AligonExtractor(remove_constants=True)
-    builder = LogBuilder(Vocabulary(baseline.vocabulary))
-    encoded = 0
-    for statement in statements:
-        try:
-            builder.add(extractor.extract_merged(statement))
-        except SqlError:
-            continue
-        encoded += 1
-    if not encoded:
-        return {"divergence": float("inf"), "mixture": None, "n_encoded": 0}
-    window = PatternMixtureEncoding.from_log(builder.build())
-    return {
-        "divergence": mixture_divergence(baseline, window),
-        "mixture": window,
-        "n_encoded": encoded,
-    }
 
 
 # ----------------------------------------------------------------------

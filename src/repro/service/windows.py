@@ -42,7 +42,7 @@ import numpy as np
 from .._rng import ensure_rng
 from ..core.diff import mixture_divergence
 from ..core.executor import Executor, resolve_executor, spawn_generators
-from ..core.featurecache import DEFAULT_CACHE_SIZE, FeatureCache
+from ..core.featurecache import FeatureCache
 from ..core.mixture import PatternMixtureEncoding
 from ..obs import metrics as _metrics
 from ..sql import AligonExtractor
@@ -89,12 +89,12 @@ class WindowedProfile:
         seed: RNG seed for pane compressions and consolidations.
         jobs / executor: forwarded to pane compressions and to
             :meth:`recompress_cold` (the staged pipeline's executor).
-        parse_cache: fingerprint fast path for pane ingestion.  One
-            :class:`~repro.core.featurecache.FeatureCache` is shared
-            across *all* panes (templates are codebook-independent), so
-            a template parsed in pane 0 never hits the parser again in
-            pane 400; each pane keeps its own index-row cache.
-        parse_cache_size: bounded-LRU capacity (distinct templates).
+
+    Pane ingestion shares one :class:`~repro.core.featurecache.
+    FeatureCache` across *all* panes (templates are
+    codebook-independent), so a template parsed in pane 0 never hits
+    the parser again in pane 400; each pane keeps its own index-row
+    cache.
 
     The open pane lives in memory; sealed panes live in the store.  A
     process restart loses at most the open pane's partial statements —
@@ -115,8 +115,6 @@ class WindowedProfile:
         seed: int | np.random.Generator | None = 0,
         jobs: int = 1,
         executor: Executor | str | None = None,
-        parse_cache: bool = True,
-        parse_cache_size: int = DEFAULT_CACHE_SIZE,
     ):
         if pane_statements < 1:
             raise ValueError("pane_statements must be >= 1")
@@ -133,17 +131,10 @@ class WindowedProfile:
         self.max_disjuncts = max_disjuncts
         self.jobs = jobs
         self.executor = executor
-        self.parse_cache_size = parse_cache_size
-        self._feature_cache = (
-            FeatureCache(
-                AligonExtractor(
-                    remove_constants=remove_constants,
-                    max_disjuncts=max_disjuncts,
-                ),
-                max_templates=parse_cache_size,
+        self._feature_cache = FeatureCache(
+            AligonExtractor(
+                remove_constants=remove_constants, max_disjuncts=max_disjuncts
             )
-            if parse_cache
-            else None
         )
         self._rng = ensure_rng(seed)
         # Composition and cold recompression must be *pure reads*:
@@ -200,7 +191,6 @@ class WindowedProfile:
                     self._bootstrap,
                     remove_constants=self.remove_constants,
                     max_disjuncts=self.max_disjuncts,
-                    parse_cache=self._feature_cache is not None,
                     feature_cache=self._feature_cache,
                 )
             except ValueError:
@@ -216,9 +206,7 @@ class WindowedProfile:
                 executor=self.executor,
                 remove_constants=self.remove_constants,
                 max_disjuncts=self.max_disjuncts,
-                parse_cache=self._feature_cache is not None,
                 feature_cache=self._feature_cache,
-                parse_cache_size=self.parse_cache_size,
             )
             self._pane_encoded += report.usable
             self._bootstrap = []
@@ -300,10 +288,8 @@ class WindowedProfile:
         return self._pane_offered
 
     @property
-    def parse_cache_stats(self) -> dict | None:
-        """The shared template cache's counters (``None``: cache off)."""
-        if self._feature_cache is None:
-            return None
+    def parse_cache_stats(self) -> dict:
+        """The shared template cache's counters."""
         return {
             "templates": self._feature_cache.stats.to_payload(),
             "cached_templates": len(self._feature_cache),

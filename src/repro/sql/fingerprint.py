@@ -35,8 +35,8 @@ Safety properties the masking preserves:
 * Token *kinds* are tagged in the key, so a quoted identifier spelled
   like a keyword (``"SELECT"``) can never collide with the keyword.
 * Anything the lexer would reject (unexpected characters, unterminated
-  strings/comments) fingerprints to ``None``; callers fall back to the
-  cold path, which classifies the failure exactly as before.
+  strings/comments) fingerprints to ``None``; the cache memoizes such
+  statements by raw string and classifies the failure exactly.
 
 Case is *not* folded: ``SELECT A`` and ``select a`` get different
 fingerprints even though normalization folds identifier case later.

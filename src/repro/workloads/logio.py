@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ..core.colstore import DEFAULT_CHUNK_ROWS, ColumnarLog
-from ..core.featurecache import DEFAULT_CACHE_SIZE, CachedTemplate, FeatureCache
+from ..core.featurecache import CachedTemplate, FeatureCache
 from ..core.log import LogBuilder, QueryLog
 from ..sql import AligonExtractor, SqlError
 from .generator import SyntheticWorkload
@@ -90,8 +90,6 @@ def load_log(
     remove_constants: bool = True,
     max_disjuncts: int = 64,
     max_errors_kept: int = 20,
-    parse_cache: bool = True,
-    parse_cache_size: int = DEFAULT_CACHE_SIZE,
     feature_cache: FeatureCache | None = None,
 ) -> tuple[QueryLog, LoadReport]:
     """Parse raw SQL statements into an encoded :class:`QueryLog`.
@@ -102,13 +100,12 @@ def load_log(
     (the paper's 13M); queries whose DNF expansion exceeds
     *max_disjuncts* count as non-rewritable.
 
-    With *parse_cache* (the default) repeated statement *templates* —
-    not just repeated raw strings — bypass the SQL parser via the
-    fingerprint fast path (:mod:`repro.core.featurecache`); the
-    resulting log and report counts are bit-identical to the cold
-    path.  Pass a shared *feature_cache* to reuse template extractions
-    across calls; ``parse_cache=False`` keeps the historical
-    raw-string memo only.
+    Statements are encoded through the fingerprint cache
+    (:mod:`repro.core.featurecache`), so repeated statement *templates*
+    — not just repeated raw strings — bypass the SQL parser; the log
+    and report counts are bit-identical to running the plain extractor
+    on every statement.  Pass a shared *feature_cache* to reuse
+    template extractions across calls.
     """
     builder = LogBuilder()
     report = _load_into(
@@ -117,8 +114,6 @@ def load_log(
         remove_constants=remove_constants,
         max_disjuncts=max_disjuncts,
         max_errors_kept=max_errors_kept,
-        parse_cache=parse_cache,
-        parse_cache_size=parse_cache_size,
         feature_cache=feature_cache,
     )
     return builder.build(), report
@@ -131,8 +126,6 @@ def load_log_columnar(
     remove_constants: bool = True,
     max_disjuncts: int = 64,
     max_errors_kept: int = 20,
-    parse_cache: bool = True,
-    parse_cache_size: int = DEFAULT_CACHE_SIZE,
     feature_cache: FeatureCache | None = None,
 ) -> tuple[ColumnarLog, LoadReport]:
     """Out-of-core :func:`load_log`: encode straight to a columnar log.
@@ -153,8 +146,6 @@ def load_log_columnar(
         remove_constants=remove_constants,
         max_disjuncts=max_disjuncts,
         max_errors_kept=max_errors_kept,
-        parse_cache=parse_cache,
-        parse_cache_size=parse_cache_size,
         feature_cache=feature_cache,
     )
     return builder.build_columnar(path, chunk_rows=chunk_rows), report
@@ -166,8 +157,6 @@ def _load_into(
     remove_constants: bool,
     max_disjuncts: int,
     max_errors_kept: int,
-    parse_cache: bool,
-    parse_cache_size: int,
     feature_cache: FeatureCache | None,
 ) -> LoadReport:
     """The §7 preparation loop, filling *builder* statement by statement.
@@ -176,95 +165,58 @@ def _load_into(
     :func:`load_log_columnar` (spill-mode builder); raises when no
     statement was usable, so callers can finalize unconditionally.
     """
-    extractor = AligonExtractor(remove_constants=remove_constants, max_disjuncts=max_disjuncts)
+    if feature_cache is None:
+        extractor = AligonExtractor(
+            remove_constants=remove_constants, max_disjuncts=max_disjuncts
+        )
+        feature_cache = FeatureCache(extractor)
     report = LoadReport()
-    if feature_cache is None and parse_cache:
-        feature_cache = FeatureCache(extractor, max_templates=parse_cache_size)
-    if feature_cache is not None:
-        # Raw-string front memo: the historical path already memoized
-        # exact repeats, and probing a dict is cheaper than even
-        # fingerprinting, so identical raw statements (the common case
-        # in machine-generated logs) skip the scanner too.  It holds
-        # the *resolved index row*, so repeats also skip the per-call
-        # feature sort and vocabulary probes; the fingerprint layer
-        # behind it handles literal churn.  Error samples keep the cold
-        # path's semantics exactly: one line per distinct raw failing
-        # statement, up to the cap.
-        raw_memo: dict[str, tuple[CachedTemplate, frozenset | None]] = {}
-        for statement in statements:
-            report.total_statements += 1
-            upper = statement.lstrip().upper()
-            if upper.startswith("EXEC ") or upper.startswith("CALL "):
-                report.stored_procedures += 1
-                continue
-            memo = raw_memo.get(statement)
-            if memo is None:
-                entry, _ = feature_cache.lookup(statement)
-                if entry.error is not None:
-                    indices = None
-                    if len(report.errors) < max_errors_kept:
-                        report.errors.append(f"{entry.error}: {statement[:120]}")
-                else:
-                    indices = frozenset(
-                        builder.vocabulary.add(f) for f in entry.features
-                    )
-                raw_memo[statement] = (entry, indices)
-            else:
-                entry, indices = memo
-            if entry.error is not None:
-                if feature_cache.classify_failure(entry, statement):
-                    report.parsed += 1
-                    report.non_rewritable += 1
-                else:
-                    report.unparseable += 1
-                continue
-            report.parsed += 1
-            report.conjunctive_branches += entry.n_branches
-            builder.add_encoded(indices)
-        if len(builder) == 0:
-            raise EmptyLogError("no usable statements in the input log")
-        return report
-    cache: dict[str, list | None] = {}
+    # Raw-string front memo: probing a dict is cheaper than even
+    # fingerprinting, so identical raw statements (the common case in
+    # machine-generated logs) skip the scanner too.  It holds the
+    # *resolved index row*, so repeats also skip the per-call feature
+    # sort and vocabulary probes; the fingerprint layer behind it
+    # handles literal churn.  Error samples are one line per distinct
+    # raw failing statement, up to the cap.
+    raw_memo: dict[str, tuple[CachedTemplate, frozenset | None]] = {}
     for statement in statements:
         report.total_statements += 1
         upper = statement.lstrip().upper()
         if upper.startswith("EXEC ") or upper.startswith("CALL "):
             report.stored_procedures += 1
             continue
-        feature_sets = cache.get(statement, _MISSING)
-        if feature_sets is _MISSING:
-            try:
-                feature_sets = extractor.extract(statement)
-            except SqlError as exc:
-                feature_sets = None
+        memo = raw_memo.get(statement)
+        if memo is None:
+            entry, cached = feature_cache.lookup(statement)
+            if entry.error is not None:
+                indices = None
                 if len(report.errors) < max_errors_kept:
-                    report.errors.append(f"{exc}: {statement[:120]}")
-            cache[statement] = feature_sets
-        if feature_sets is None:
-            # Distinguish rewrite failures from parse failures by retrying
-            # the parse alone.
-            from ..sql import parse
-
-            try:
-                parse(statement)
-            except SqlError:
-                report.unparseable += 1
+                    error = entry.error
+                    if cached:
+                        # A template hit carries the first variant's
+                        # error; quote this statement's own message.
+                        try:
+                            feature_cache.extractor.extract(statement)
+                        except SqlError as exc:
+                            error = exc
+                    report.errors.append(f"{error}: {statement[:120]}")
             else:
+                indices = frozenset(
+                    builder.vocabulary.add(f) for f in entry.features
+                )
+            raw_memo[statement] = (entry, indices)
+        else:
+            entry, indices = memo
+        if entry.error is not None:
+            if feature_cache.classify_failure(entry, statement):
                 report.parsed += 1
                 report.non_rewritable += 1
+            else:
+                report.unparseable += 1
             continue
         report.parsed += 1
-        report.conjunctive_branches += len(feature_sets)
-        # One entry per query: the union of its conjunctive-branch
-        # feature sets (consistent with SyntheticWorkload.to_query_log's
-        # default "union" branch mode).
-        merged: set = set()
-        for feature_set in feature_sets:
-            merged.update(feature_set)
-        builder.add(frozenset(merged))
+        report.conjunctive_branches += entry.n_branches
+        builder.add_encoded(indices)
     if len(builder) == 0:
         raise EmptyLogError("no usable statements in the input log")
     return report
-
-
-_MISSING = object()

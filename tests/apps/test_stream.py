@@ -201,3 +201,30 @@ class TestTimeline:
         assert report.error_bits >= 0
         garbage = monitor.observe_many(["@@nope@@"] * 20)[0]
         assert garbage.error_bits is None
+
+
+class TestBatchDivergence:
+    """The one-shot batch assessment ``/drift`` reports beside its panes."""
+
+    def test_matches_the_pane_of_the_same_statements(self, baseline_setup):
+        workload, _, compressed = baseline_setup
+        monitor = StreamingDriftMonitor(
+            compressed.mixture, window_size=20, threshold=1e9
+        )
+        batch = list(workload.statements(shuffle=True, seed=8))[:17]
+        batch += ["@@nope@@", "SELECT FROM WHERE", "EXEC sp_x 1"]
+        divergence, mixture, n_encoded = monitor.batch_divergence(batch)
+        assert monitor._pending_raw == 0  # pane state untouched
+        (report,) = monitor.observe_many(batch)
+        assert n_encoded == report.n_encoded == 17
+        assert divergence == report.divergence_bits
+        assert mixture.error() == report.error_bits
+
+    def test_all_garbage_batch(self, baseline_setup):
+        _, _, compressed = baseline_setup
+        monitor = StreamingDriftMonitor(
+            compressed.mixture, window_size=10, threshold=1e9
+        )
+        assert monitor.batch_divergence(["@@nope@@"] * 3) == (
+            float("inf"), None, 0
+        )

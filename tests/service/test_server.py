@@ -88,6 +88,18 @@ class TestEndpoints:
         assert not out["batch_drifted"]
         assert len(out["windows"]) == 2
 
+    def test_drift_batch_matches_its_own_window(self, served):
+        # A batch of exactly window_size statements fills one pane, so
+        # the one-shot batch assessment must agree with that pane.
+        _, client, workload, _, _ = served
+        statements = list(workload.statements(shuffle=True, seed=5))[:27]
+        statements += ["TOTAL GARBAGE @@@", "SELECT FROM WHERE", "EXEC sp_x 1"]
+        out = client.drift("tpch", statements, window_size=30)
+        (window,) = out["windows"]
+        assert window["n_statements"] == 30
+        assert out["n_encoded"] == window["n_encoded"] == 27
+        assert out["batch_divergence_bits"] == window["divergence_bits"]
+
     def test_drift_foreign_workload_flags(self, served):
         _, client, _, _, _ = served
         foreign = list(
@@ -205,19 +217,6 @@ class TestIngestEndpoint:
             assert cache["rows"]["hits"] + cache["rows"]["misses"] >= 80
             assert 0.0 <= cache["rows"]["hit_rate"] <= 1.0
             assert cache["templates"]["misses"] >= 1
-
-    def test_parse_cache_disabled_server(self, tmp_path):
-        store = SummaryStore(tmp_path / "store")
-        workload = generate_tpch(total=500, variants_per_template=4, seed=1)
-        log = workload.to_query_log()
-        compressed = LogRCompressor(n_clusters=2, seed=0, n_init=2).compress(log)
-        store.save("tpch", compressed, log)
-        with AnalyticsServer(store, port=0, parse_cache_size=0) as server:
-            client = AnalyticsClient(server.url)
-            statements = list(workload.statements(shuffle=True, seed=2))[:20]
-            out = client.ingest("tpch", statements)
-            assert out["report"]["n_encoded"] == 20
-            assert client.stats()["parse_cache"] == {}
 
     def test_eviction_persists_unpersisted_ingest(self, tmp_path):
         store = SummaryStore(tmp_path / "store")

@@ -2,8 +2,18 @@
 
 import pytest
 
+from repro.sql import AligonExtractor, SqlError
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.logio import load_log, read_log, write_log
+
+
+def _own_sample(statement: str) -> str:
+    """The error sample extracting *statement* by itself produces."""
+    try:
+        AligonExtractor(remove_constants=True).extract(statement)
+    except SqlError as exc:
+        return f"{exc}: {statement[:120]}"
+    raise AssertionError(f"{statement!r} extracts")
 
 
 @pytest.fixture()
@@ -82,20 +92,31 @@ class TestLoadLog:
 
     def test_error_samples_match_cold_path_for_literal_variants(self):
         # Two raw-distinct literal variants of one failing template:
-        # the cold path records one error line per distinct raw
-        # statement, and so must the fast path.
+        # extracting every statement records one error line per
+        # distinct raw statement, and so must the fingerprint cache.
         statements = [
             "SELECT a FROM t",
             "SELECT ) FROM x WHERE q = 1",
             "SELECT ) FROM x WHERE q = 2",
         ]
-        _, warm = load_log(statements, parse_cache=True)
-        _, cold = load_log(statements, parse_cache=False)
-        assert len(warm.errors) == len(cold.errors) == 2
+        _, report = load_log(statements)
+        assert report.errors == [_own_sample(s) for s in statements[1:]]
+
+    def test_error_samples_carry_each_statements_own_message(self):
+        # A template hit must not quote the first variant's parser
+        # message ("got '2'") against a later variant's text.
+        statements = [
+            "SELECT a FROM t",
+            "SELECT a FROM t WHERE x = 1 2",
+            "SELECT a FROM t WHERE x = 3 4",
+        ]
+        _, report = load_log(statements)
+        assert report.unparseable == 2
+        assert report.errors == [_own_sample(s) for s in statements[1:]]
+        assert "got '4'" in report.errors[1]
 
     def test_shared_cache_keeps_error_samples_per_call(self):
         from repro.core.featurecache import FeatureCache
-        from repro.sql import AligonExtractor
 
         cache = FeatureCache(AligonExtractor(remove_constants=True))
         statements = ["SELECT a FROM t", "SELECT FROM WHERE"]
@@ -104,14 +125,13 @@ class TestLoadLog:
         assert len(first.errors) == len(second.errors) == 1
 
     def test_repeated_garbage_reports_one_error(self):
-        # The cold path memoized failures by raw string; the fast path
-        # must not regress to one error line (and one re-parse) per
-        # occurrence of the same unlexable statement.
+        # Failures are memoized by raw string: one error line (and one
+        # extraction) per distinct unlexable statement, not per
+        # occurrence.
         statements = ["SELECT a FROM t"] + ["@@@ garbage @@@"] * 5
-        _, warm = load_log(statements, parse_cache=True)
-        _, cold = load_log(statements, parse_cache=False)
-        assert warm.unparseable == cold.unparseable == 5
-        assert len(warm.errors) == len(cold.errors) == 1
+        _, report = load_log(statements)
+        assert report.unparseable == 5
+        assert report.errors == [_own_sample("@@@ garbage @@@")]
 
     def test_constant_handling(self):
         statements = ["SELECT a FROM t WHERE x = 1", "SELECT a FROM t WHERE x = 2"]
