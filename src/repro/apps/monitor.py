@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -85,21 +85,6 @@ class WorkloadMonitor:
         return np.repeat(scores, log.counts)
 
     # ------------------------------------------------------------------
-    def score_features(self, features: Iterable[Hashable]) -> float:
-        """log2 likelihood of a query given as a feature set.
-
-        Features outside the training vocabulary contribute a zero
-        marginal in every component, which floors the likelihood.
-        """
-        vector = self.mixture.vocabulary.encode(features, strict=False)
-        probability = self.mixture.point_probability(vector)
-        unknown = sum(
-            1 for f in features if self.mixture.vocabulary.get(f) is None
-        )
-        if unknown:
-            probability = 0.0
-        return float(safe_log2(probability))
-
     def _extract_merged(self, sql: str) -> frozenset | SqlError:
         """Merged feature set of *sql* (memoized), or its parse error."""
         with self._parse_lock:
@@ -119,32 +104,23 @@ class WorkloadMonitor:
 
     def score(self, sql: str) -> QueryScore:
         """Parse and score one SQL statement."""
-        merged = self._extract_merged(sql)
-        if isinstance(merged, SqlError):
-            return QueryScore(sql, float("-inf"), True, f"unparseable: {merged}")
-        log2_likelihood = self.score_features(merged)
-        anomalous = log2_likelihood < self.threshold
-        reason = ""
-        if anomalous:
-            reason = (
-                f"log-likelihood {log2_likelihood:.1f} below threshold "
-                f"{self.threshold:.1f}"
-            )
-        return QueryScore(sql, log2_likelihood, anomalous, reason)
+        return self.score_batch([sql])[0]
 
     def scan(self, statements: Iterable[str]) -> list[QueryScore]:
         """Score a stream of statements; returns one entry each."""
-        return [self.score(sql) for sql in statements]
+        return self.score_batch(list(statements))
 
     def score_batch(self, statements: Sequence[str]) -> list[QueryScore]:
         """Score a batch with one encode pass and one mixture evaluation.
 
-        The service layer's hot path: instead of ``len(statements)``
-        separate mixture evaluations, all parseable statements are
-        encoded into one ``(m, n)`` matrix and scored by a single
-        :meth:`PatternMixtureEncoding.point_probabilities` sweep.  The
-        per-query arithmetic matches :meth:`score` exactly, so results
-        are bit-identical to the one-at-a-time loop.
+        The only scoring path (:meth:`score` and :meth:`scan` wrap it):
+        all parseable statements are encoded into one ``(m, n)`` matrix
+        and scored by a single
+        :meth:`PatternMixtureEncoding.point_probabilities` sweep.  That
+        kernel scores every row independently, so a statement's result
+        does not depend on the rest of its batch.  Features outside the
+        mixture's vocabulary, or interned after it was built, floor the
+        likelihood to zero.
         """
         n = self.mixture.components[0].encoding.n_features
         vocabulary = self.mixture.vocabulary

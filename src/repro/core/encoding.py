@@ -142,7 +142,18 @@ class NaiveEncoding:
             raise ValueError("marginals must be a vector")
         if ((marginals < -1e-12) | (marginals > 1 + 1e-12)).any():
             raise ValueError("marginals must lie in [0, 1]")
+        # Read-only, so the support and its eq. 1 factors derived here
+        # can never go stale.
         self.marginals = np.clip(marginals, 0.0, 1.0)
+        self.marginals.flags.writeable = False
+        self._support = np.flatnonzero(self.marginals > 0)
+        self._support.flags.writeable = False
+        self._present_terms = self.marginals[self._support]
+        self._absent_terms = 1.0 - self._present_terms
+
+    def __reduce__(self) -> tuple:
+        # Rebuild through the constructor: unpickled arrays are writeable.
+        return (NaiveEncoding, (self.marginals,))
 
     @classmethod
     def from_log(cls, log: QueryLog) -> "NaiveEncoding":
@@ -156,13 +167,13 @@ class NaiveEncoding:
 
     @property
     def support(self) -> np.ndarray:
-        """Indices of features with non-zero marginal."""
-        return np.flatnonzero(self.marginals > 0)
+        """Indices of features with non-zero marginal (ascending)."""
+        return self._support
 
     @property
     def verbosity(self) -> int:
         """Number of non-zero-marginal singleton patterns."""
-        return int((self.marginals > 0).sum())
+        return int(self._support.shape[0])
 
     def feature_marginal(self, index: int) -> float:
         """``E[f_i]``: marginal of the i-th singleton pattern."""
@@ -184,12 +195,34 @@ class NaiveEncoding:
 
     def point_probability(self, vector: np.ndarray) -> float:
         """``ρ_E(q) = Π p_i^{x_i} (1-p_i)^{1-x_i}`` (paper eq. 1)."""
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != self.marginals.shape:
+        present = np.asarray(vector) > 0
+        if present.shape != self.marginals.shape:
             raise ValueError("vector length must match feature count")
-        p = self.marginals
-        terms = np.where(vector > 0, p, 1.0 - p)
-        return float(np.prod(terms))
+        present = present[None, :]
+        return float(self.support_products(present, present.sum(axis=1))[0])
+
+    def support_products(
+        self, present: np.ndarray, n_present: np.ndarray
+    ) -> np.ndarray:
+        """Eq. 1 for every row of a boolean ``(m, n)`` presence matrix.
+
+        *n_present* holds each row's count of present features.  Only
+        the support columns are multiplied, in ascending order, so a
+        row costs ``|S|`` terms instead of ``n``.  The result is bit
+        for bit the dense product over all ``n`` features: NumPy
+        multiplies a row left to right, a feature outside the support
+        is a factor of exactly 1.0 when absent (``x * 1.0 == x``), and
+        when present it is a factor of 0.0 that makes the whole product
+        +0.0 (every factor lies in [0, 1]).
+        """
+        if present.shape[1] != self.n_features:
+            raise ValueError("matrix width must match feature count")
+        inside = np.take(present, self._support, axis=1)
+        products = np.multiply.reduce(
+            np.where(inside, self._present_terms, self._absent_terms), axis=1
+        )
+        products[inside.sum(axis=1) != n_present] = 0.0
+        return products
 
     def as_pattern_encoding(self) -> PatternEncoding:
         """Explicit singleton-pattern view (for measure machinery)."""

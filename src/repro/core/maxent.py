@@ -229,12 +229,6 @@ class IndependentMaxent:
             return 1.0
         return float(np.prod(self.marginals[sorted(pattern.indices)]))
 
-    def point_probability(self, vector: np.ndarray) -> float:
-        """ρ_E(Q = q) under independence."""
-        p = self.marginals
-        vector = np.asarray(vector, dtype=float)
-        return float(np.prod(np.where(vector > 0, p, 1.0 - p)))
-
 
 @dataclass
 class _Block:

@@ -63,12 +63,9 @@ def frequent_patterns(
     frequent_items = np.flatnonzero(marginals >= min_support)
     level_items = frequent_items[:, None].astype(np.int64)
     level_supports = marginals[frequent_items]
-    results: list[tuple[Pattern, float]] = []
+    levels: list[tuple[np.ndarray, np.ndarray]] = []
     if min_size <= 1:
-        results.extend(
-            (Pattern(row), float(support))
-            for row, support in zip(level_items, level_supports)
-        )
+        levels.append((level_items, level_supports))
 
     size = 1
     while level_items.shape[0] and size < max_size:
@@ -81,15 +78,29 @@ def frequent_patterns(
         level_items = candidates[keep]
         level_supports = supports[keep]
         if size >= min_size:
-            results.extend(
-                (Pattern(row), float(support))
-                for row, support in zip(level_items, level_supports)
-            )
+            levels.append((level_items, level_supports))
+    return _ranked(levels, max_patterns)
 
-    results.sort(key=lambda pair: (-pair[1], len(pair[0])))
-    if max_patterns is not None:
-        results = results[:max_patterns]
-    return results
+
+def _ranked(
+    levels: list[tuple[np.ndarray, np.ndarray]], max_patterns: int | None
+) -> list[tuple[Pattern, float]]:
+    """Mined levels as ``(pattern, support)`` pairs in result order.
+
+    One stable ``lexsort`` on (descending support, ascending size) over
+    the levels in mining order, cut to *max_patterns* before any
+    :class:`Pattern` is built.
+    """
+    if not levels:
+        return []
+    supports = np.concatenate([level_supports for _, level_supports in levels])
+    sizes = np.concatenate(
+        [np.full(items.shape[0], items.shape[1]) for items, _ in levels]
+    )
+    order = np.lexsort((sizes, -supports))[:max_patterns]
+    rows = [row for items, _ in levels for row in items]
+    values = supports.tolist()
+    return [(Pattern(rows[i]), values[i]) for i in order.tolist()]
 
 
 def _generate_candidates(level_items: np.ndarray, n_features: int) -> np.ndarray:

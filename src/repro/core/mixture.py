@@ -24,7 +24,7 @@ import numpy as np
 
 from .encoding import NaiveEncoding, PatternEncoding
 from .log import QueryLog
-from .maxent import IndependentMaxent, maxent_entropy
+from .maxent import maxent_entropy
 from .pattern import Pattern
 from .vocabulary import Vocabulary
 
@@ -452,37 +452,27 @@ class PatternMixtureEncoding:
 
     def point_probability(self, vector: np.ndarray) -> float:
         """``ρ_S(q) = Σ_i w_i ρ_Si(q)`` for naive components (§5.2)."""
-        weights = self.weights
-        total = 0.0
-        for w, component in zip(weights, self.components):
-            if not isinstance(component.encoding, NaiveEncoding):
-                raise TypeError("point probability requires naive components")
-            model = IndependentMaxent.from_encoding(component.encoding)
-            total += w * model.point_probability(vector)
-        return float(total)
+        return float(self.point_probabilities(np.asarray(vector)[None, :])[0])
 
     def point_probabilities(self, matrix: np.ndarray) -> np.ndarray:
         """Vectorized ``ρ_S(q)`` for a batch of encoded rows.
 
-        One ``(m, n)`` pass per component instead of ``m`` separate
-        :meth:`point_probability` calls — the batched-scoring hot path.
-        Per row the arithmetic (feature-order product, component-order
-        sum) matches :meth:`point_probability`, so a one-row batch is
-        bit-identical to the scalar path.
+        The likelihood kernel.  Each component multiplies only over its
+        own support (:meth:`NaiveEncoding.support_products`), so a batch
+        costs O(rows × Σ_i |S_i|) instead of O(rows × k × n), and the
+        weighted terms are summed in component order.  Every value is
+        bit-identical to the dense eq. 1 product over the whole
+        vocabulary, and each row is scored independently of the others.
         """
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
+        present = np.asarray(matrix) > 0
+        if present.ndim != 2:
             raise ValueError("matrix must be 2-D (one encoded query per row)")
-        weights = self.weights
-        total = np.zeros(matrix.shape[0])
-        for w, component in zip(weights, self.components):
+        n_present = present.sum(axis=1)
+        total = np.zeros(present.shape[0])
+        for w, component in zip(self.weights, self.components):
             if not isinstance(component.encoding, NaiveEncoding):
                 raise TypeError("point probability requires naive components")
-            p = component.encoding.marginals
-            if matrix.shape[1] != p.shape[0]:
-                raise ValueError("matrix width must match feature count")
-            terms = np.where(matrix > 0, p, 1.0 - p)
-            total += w * np.prod(terms, axis=1)
+            total += w * component.encoding.support_products(present, n_present)
         return total
 
     # ------------------------------------------------------------------

@@ -46,12 +46,13 @@ Concurrency model — hot profiles live in an LRU cache as
 :class:`_Profile` handles.  Each handle separates the *live* state (an
 :class:`repro.service.ingest.IncrementalIngestor`, mutated only under
 the handle's lock) from the *published* scoring snapshot (a
-:class:`repro.apps.monitor.WorkloadMonitor` built over copied arrays
-and a frozen codebook).  ``/score`` reads the snapshot reference once
-— an atomic pointer load — and never touches live state, so readers
-take no lock, see no torn updates, and return bit-identical scores
-whether or not an ingest is running; ``/ingest`` builds the successor
-snapshot and swaps the reference in one assignment.
+:class:`repro.apps.monitor.WorkloadMonitor` built over read-only
+marginal arrays and a frozen codebook).  ``/score`` reads the snapshot
+reference once — an atomic pointer load — and never touches live
+state, so readers take no lock, see no torn updates, and return
+bit-identical scores whether or not an ingest is running; ``/ingest``
+builds the successor snapshot and swaps the reference in one
+assignment.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from ..core.compress import CompressedLog
 from ..core.diff import feature_drift
 from ..core.log import QueryLog
 from ..core.mixture import MixtureComponent, PatternMixtureEncoding
-from ..core.encoding import NaiveEncoding
 from ..core.vocabulary import Vocabulary
 from ..obs import metrics as _metrics
 from ..obs.textfmt import CONTENT_TYPE as _METRICS_CONTENT_TYPE
@@ -101,18 +101,19 @@ def _recompression_executor(jobs: int) -> str | None:
 
 
 def _snapshot_mixture(mixture: PatternMixtureEncoding) -> PatternMixtureEncoding:
-    """A frozen copy: cloned codebook, copied marginal vectors.
+    """A frozen copy: cloned codebook and component list.
 
     Published scorers must not share mutable structure with the live
     ingest state — the live vocabulary keeps growing and components
     keep being replaced, and a scorer that chased those references
     could mix marginals from two different profile versions mid-batch.
+    Encodings are shared: their marginals are read-only.
     """
     vocabulary = Vocabulary(mixture.vocabulary) if mixture.vocabulary else None
     components = [
         MixtureComponent(
             size=component.size,
-            encoding=NaiveEncoding(component.encoding.marginals.copy()),
+            encoding=component.encoding,
             true_entropy=component.true_entropy,
         )
         for component in mixture.components

@@ -62,3 +62,30 @@ class TestMonitor:
         workload, monitor = monitor_setup
         score = monitor.score(workload.entries[0][0])
         assert score.log2_likelihood <= 0.0
+
+
+class TestGrownCodebook:
+    """A monitor over a live mixture whose codebook grows in place (as an
+    ``IncrementalIngestor`` grows its own) scores through one path."""
+
+    @pytest.fixture()
+    def grown(self):
+        workload = generate_pocketdata(total=2_000, n_distinct=60, seed=5)
+        log = workload.to_query_log()
+        compressed = LogRCompressor(n_clusters=3, seed=0, n_init=2).compress(log)
+        monitor = WorkloadMonitor(compressed.mixture, log)
+        compressed.mixture.vocabulary.add(("grown", "feature"))
+        return workload, monitor
+
+    def test_score_equals_score_batch(self, grown):
+        workload, monitor = grown
+        statements = [text for text, _ in workload.entries[:20]]
+        statements += ["SELECT evil FROM vault", "DROP TABLE messages; --"]
+        for sql in statements:
+            assert monitor.score(sql) == monitor.score_batch([sql])[0]
+
+    def test_scan_equals_score_batch(self, grown):
+        workload, monitor = grown
+        statements = [text for text, _ in workload.entries[:20]]
+        statements.append("SELECT evil FROM vault")
+        assert monitor.scan(iter(statements)) == monitor.score_batch(statements)

@@ -103,3 +103,23 @@ def small_bank_log():
     from repro.workloads import generate_bank
 
     return generate_bank(total=20_000, n_templates=120, seed=3).to_query_log()
+
+
+def _dense_point_probabilities(mixture, matrix) -> np.ndarray:
+    """Eq. 1 over the whole vocabulary: the likelihood kernel's oracle.
+
+    Every component multiplies all ``n`` terms of every row (left to
+    right), and the weighted terms are summed in component order.
+    """
+    matrix = np.asarray(matrix)
+    total = np.zeros(matrix.shape[0])
+    for w, component in zip(mixture.weights, mixture.components):
+        p = component.encoding.marginals
+        total += w * np.prod(np.where(matrix > 0, p, 1 - p), axis=1)
+    return total
+
+
+@pytest.fixture(scope="session")
+def dense_point_probabilities():
+    """The dense eq. 1 oracle of ``PatternMixtureEncoding.point_probabilities``."""
+    return _dense_point_probabilities

@@ -7,9 +7,11 @@ import pytest
 
 from repro.apps.monitor import WorkloadMonitor
 from repro.core.compress import LogRCompressor
+from repro.core.entropy import safe_log2
 from repro.service import (
     AnalyticsClient,
     AnalyticsServer,
+    AnalyticsService,
     ServiceError,
     SummaryStore,
 )
@@ -398,3 +400,49 @@ class TestServiceSoak:
                 assert vector in allowed
             versions = [v["version"] for v in client.profile("tpch")["versions"]]
             assert versions == list(range(1, 10))
+
+class TestServedThreshold:
+    def test_threshold_equals_offline_dense_calibration(
+        self, tmp_path, dense_point_probabilities
+    ):
+        """After every ingest the served alert threshold is the dense eq. 1
+        calibration of the stored version, bit for bit: through a plain
+        merge, one that grows the codebook, and a recompression."""
+        store = SummaryStore(tmp_path / "store")
+        workload = generate_pocketdata(total=3_000, n_distinct=80, seed=2)
+        log = workload.to_query_log()
+        compressed = LogRCompressor(n_clusters=3, seed=0, n_init=2).compress(log)
+        store.save("pocket", compressed, log, note="seed")
+        service = AnalyticsService(store, staleness_threshold=float("inf"))
+        own = list(workload.statements(shuffle=True, seed=4))
+        foreign = list(
+            generate_tpch(total=300, variants_per_template=2, seed=1).statements()
+        )
+        batches = [
+            ("plain", own[:40]),
+            ("new features", own[40:60] + foreign[:30]),
+            ("recompress", own[60:100] + foreign[30:60]),
+            ("plain", own[100:140]),
+        ]
+        for kind, batch in batches:
+            ingestor = service._profile("pocket").ingestor
+            # Force the staleness trigger for exactly one batch.
+            ingestor.staleness_threshold = -1.0 if kind == "recompress" else float("inf")
+            reply = service.handle_ingest({"profile": "pocket", "statements": batch})
+            if kind == "new features":
+                assert reply["report"]["n_new_features"] > 0
+            assert reply["report"]["recompressed"] == (kind == "recompress")
+            served = service.handle_score(
+                {"profile": "pocket", "statements": own[:1]}
+            )
+            assert served["version"] == reply["version"]
+            stored, stored_log = store.load_state("pocket", reply["version"])
+            scores = safe_log2(
+                dense_point_probabilities(stored.mixture, stored_log.matrix)
+            )
+            want = np.quantile(
+                np.repeat(scores, stored_log.counts), service.threshold_quantile
+            )
+            assert np.float64(served["threshold"]).view(np.uint64) == np.float64(
+                want
+            ).view(np.uint64), kind
