@@ -1,16 +1,11 @@
 """Out-of-core proof bench: spill-mode encoding under a bounded heap.
 
-Two claims from the columnar-store issue, measured rather than argued:
-
-* **Peak heap is O(chunk budget), not O(log).**  The same synthetic
-  encoded stream (≥4× the chunk budget in distinct rows) is fed to an
-  in-memory ``LogBuilder`` and to a spilling one; ``tracemalloc``
-  peaks are compared.  The spill path must stay well under the flat
-  path, and the two logs must be bit-identical.
-* **The multi-level merge tree is exact.**  ``compress_sharded`` with
-  ``merge_fanin=2`` must land at exactly the flat merge's Error (the
-  mixture algebra is associative), never trading fidelity for the
-  lower peak merge width.
+The columnar store's claim, measured rather than argued: **peak heap
+is O(chunk budget), not O(log).**  The same synthetic encoded stream
+(≥4× the chunk budget in distinct rows) is fed to an in-memory
+``LogBuilder`` and to a spilling one; ``tracemalloc`` peaks are
+compared.  The spill path must stay well under the flat path, and the
+two logs must be bit-identical.
 
 Run with::
 
@@ -30,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.compress import compress_sharded
 from repro.core.log import LogBuilder
 from repro.core.vocabulary import Vocabulary
 
@@ -142,41 +136,16 @@ def run_memory_bench(
     }
 
 
-def run_merge_tree_bench(workdir: Path, n_rows: int) -> dict[str, float]:
-    """merge_fanin tree vs flat merge: Error must match exactly."""
-    builder = LogBuilder(Vocabulary(range(N_FEATURES)))
-    for indices, count in _stream(n_rows):
-        builder.add_encoded(indices, count)
-    log = builder.build()
-
-    flat = compress_sharded(log, 8, n_clusters=4, n_init=2, seed=3)
-    tree = compress_sharded(log, 8, n_clusters=4, n_init=2, seed=3, merge_fanin=2)
-    print_table(
-        "Bench colstore: merge tree vs flat shard merge",
-        ["merge", "shards", "Error (bits)", "verbosity"],
-        [
-            ["flat (merge all at once)", 8, flat.error, flat.total_verbosity],
-            ["tree (fanin=2)", 8, tree.error, tree.total_verbosity],
-        ],
-    )
-    assert tree.error <= flat.error + 1e-9, (
-        f"merge tree Error {tree.error:.6f} exceeds flat merge {flat.error:.6f}"
-    )
-    assert np.array_equal(tree.labels, flat.labels), "merge tree changed labels"
-    return {"flat_error_bits": flat.error, "tree_error_bits": tree.error}
-
-
 def run_all(n_rows: int, chunk_rows: int, mode: str) -> None:
     with tempfile.TemporaryDirectory(prefix="bench-colstore-") as tmp:
         workdir = Path(tmp)
         timings = run_memory_bench(n_rows, chunk_rows, workdir)
-        timings.update(run_merge_tree_bench(workdir, min(n_rows, 4096)))
     record_bench(
         "colstore", timings, mode=mode, rows=n_rows, chunk_rows=chunk_rows
     )
     print(
         f"bench colstore: PASS (spill peak {timings['flat_over_spill']:.1f}x "
-        "under flat; merge tree exact)"
+        "under flat)"
     )
 
 

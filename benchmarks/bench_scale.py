@@ -128,7 +128,7 @@ def test_parallel_sweep_speedup(benchmark, sweep_log):
     start = time.perf_counter()
     parallel = compress_sweep(
         sweep_log, SWEEP_KS, method="spectral", metric="hamming", seed=0,
-        jobs=SWEEP_JOBS, executor="process",
+        jobs=SWEEP_JOBS,
     )
     parallel_seconds = time.perf_counter() - start
 
@@ -175,7 +175,7 @@ def test_sharded_compression_speedup(benchmark, shard_log):
     parallel = compress_sharded(
         shard_log, n_shards=shards, n_clusters=per_shard_k,
         method="spectral", metric="hamming", seed=0,
-        jobs=SWEEP_JOBS, executor="process",
+        jobs=SWEEP_JOBS,
     )
     parallel_seconds = time.perf_counter() - start
 

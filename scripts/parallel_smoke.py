@@ -2,8 +2,9 @@
 
 Exercises the CLI end to end the way a user on a multi-core box would:
 
-1. ``compress --jobs 2 --executor process`` must produce an artifact
-   byte-identical to the serial run (modulo the recorded build time);
+1. ``compress --jobs 2`` (two worker processes) must produce an
+   artifact byte-identical to the serial run (modulo the recorded build
+   time);
 2. ``compress --jobs 2 --shards 2`` (shard-and-merge in two worker
    processes) must round-trip through ``load_artifact`` and agree
    exactly with the serial sharded run;
@@ -44,7 +45,7 @@ def run() -> int:
         flat = {}
         for name, extra in {
             "serial": [],
-            "jobs2": ["--jobs", "2", "--executor", "process"],
+            "jobs2": ["--jobs", "2"],
         }.items():
             out = base / f"flat-{name}.json"
             rc = main(
@@ -60,7 +61,7 @@ def run() -> int:
         sharded = {}
         for name, extra in {
             "serial": [],
-            "jobs2": ["--jobs", "2", "--executor", "process"],
+            "jobs2": ["--jobs", "2"],
         }.items():
             out = base / f"sharded-{name}.json"
             rc = main(
@@ -87,7 +88,7 @@ def run() -> int:
         sweeps = {}
         for name, extra in {
             "serial": [],
-            "jobs2": ["--jobs", "2", "--executor", "process"],
+            "jobs2": ["--jobs", "2"],
         }.items():
             out = base / f"sweep-{name}.json"
             rc = main(

@@ -36,7 +36,6 @@ from .core import (
     compress_sweep,
     compress_to_error,
     deviation,
-    get_executor,
     load_artifact,
     reproduction_error,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "compress_sweep",
     "compress_to_error",
     "compress_sharded",
-    "get_executor",
     "QueryLog",
     "LogBuilder",
     "Vocabulary",

@@ -47,7 +47,6 @@ from .core.compress import (
     compress_sweep,
     load_artifact,
 )
-from .core.executor import EXECUTOR_KINDS
 from .sql.features import Feature
 from .viz.render import render_mixture
 from .core.colstore import DEFAULT_CHUNK_ROWS
@@ -90,11 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-rows", type=_positive_int, default=DEFAULT_CHUNK_ROWS,
         metavar="N",
         help="row budget per columnar chunk / spill run (with --out-of-core)",
-    )
-    compress.add_argument(
-        "--merge-fanin", type=int, default=None, metavar="F",
-        help="merge shard mixtures as a multi-level tree of this fan-in "
-             "instead of one flat merge (bit-identical result)",
     )
     compress.add_argument(
         "--store", type=Path, default=None,
@@ -293,14 +287,10 @@ def _add_compression_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
-    """The executor-layer knobs shared by the compression subcommands."""
+    """The worker-count knob shared by the compression subcommands."""
     parser.add_argument(
         "--jobs", type=_positive_int, default=1,
-        help="worker count for the parallel stages (1 = serial reference)",
-    )
-    parser.add_argument(
-        "--executor", default="auto", choices=["auto", *EXECUTOR_KINDS],
-        help="execution backend; auto = process workers when --jobs > 1",
+        help="worker processes for the parallel stages (1 = serial reference)",
     )
 
 
@@ -373,8 +363,11 @@ def _cmd_compress(args) -> int:
         raise SystemExit("--consolidate-to requires --shards > 1")
     if args.consolidate_to is not None and args.consolidate_to < 1:
         raise SystemExit("--consolidate-to must be >= 1")
-    if args.merge_fanin is not None and args.merge_fanin < 2:
-        raise SystemExit("--merge-fanin must be >= 2")
+    if args.keep_constants and args.store is not None:
+        raise SystemExit(
+            "--keep-constants cannot be used with --store: every profile "
+            "consumer encodes statements with constants removed"
+        )
     statements = read_log(args.log)
     if args.out_of_core is not None:
         source, report = load_log_columnar(
@@ -398,14 +391,12 @@ def _cmd_compress(args) -> int:
             metric=args.metric,
             consolidate_to=args.consolidate_to,
             jobs=args.jobs,
-            executor=args.executor,
             seed=args.seed,
-            merge_fanin=args.merge_fanin,
         )
     else:
         compressor = LogRCompressor(
             n_clusters=args.clusters, method=args.method, metric=args.metric,
-            jobs=args.jobs, executor=args.executor, seed=args.seed,
+            jobs=args.jobs, seed=args.seed,
         )
         compressed = compressor.compress(log)
     args.output.write_text(compressed.to_json(), encoding="utf-8")
@@ -444,7 +435,6 @@ def _cmd_sweep(args) -> int:
         method=args.method,
         metric=args.metric,
         jobs=args.jobs,
-        executor=args.executor,
         seed=args.seed,
     )
     print(
@@ -598,7 +588,6 @@ def _cmd_ingest(args) -> int:
         staleness_threshold=args.staleness_threshold,
         seed=args.seed,
         jobs=args.jobs,
-        executor=args.executor,
     )
     statements = read_log(args.log)
     report = ingestor.ingest_statements(statements)
@@ -620,7 +609,6 @@ def _cmd_ingest(args) -> int:
             n_clusters=args.pane_clusters,
             seed=args.seed,
             jobs=args.jobs,
-            executor=args.executor,
         )
         sealed = windowed.ingest(statements)
         final = windowed.roll(note=f"ingest {args.log.name}")

@@ -10,13 +10,10 @@ from .compress import (
     load_artifact,
 )
 from .executor import (
-    EXECUTOR_KINDS,
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
-    get_executor,
-    resolve_executor,
+    executor_for,
     spawn_generators,
 )
 from .pipeline import (
@@ -145,13 +142,10 @@ __all__ = [
     "compress_sharded",
     "load_artifact",
     "fit_component",
-    "EXECUTOR_KINDS",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
-    "get_executor",
-    "resolve_executor",
+    "executor_for",
     "spawn_generators",
     "CompressionPipeline",
     "PartitionStage",

@@ -14,11 +14,12 @@
    partition (§6.4 — off by default because the gain is small and
    refined encodings no longer admit closed-form statistics).
 
-Every entry point takes ``jobs``/``executor`` and stays bit-identical
-to the serial loop at any worker count (see :mod:`repro.core.executor`
-for the determinism rules).  The tunable parameter promised in §1 is
-``n_clusters``: larger K gives higher fidelity (lower Error) at higher
-Verbosity.  ``compress_sweep`` explores that trade-off (K candidates in
+Every entry point takes ``jobs`` (1 runs the serial loop, more runs a
+pool of worker processes) and stays bit-identical to the serial loop at
+any worker count (see :mod:`repro.core.executor` for the determinism
+rules).  The tunable parameter promised in §1 is ``n_clusters``:
+larger K gives higher fidelity (lower Error) at higher Verbosity.
+``compress_sweep`` explores that trade-off (K candidates in
 parallel); ``compress_to_error`` grows K until a target Error is met
 (speculative parallel doubling); ``compress_sharded`` splits a huge log
 into shards, compresses them in worker processes, and merges the
@@ -38,7 +39,7 @@ import numpy as np
 from .._clock import Stopwatch
 from .._rng import ensure_rng
 from .colstore import ColumnarLog
-from .executor import Executor, resolve_executor, spawn_generators
+from .executor import Executor, executor_for, spawn_generators
 from .log import QueryLog
 from .mixture import PatternMixtureEncoding
 from .pattern import Pattern
@@ -246,12 +247,9 @@ class LogRCompressor:
         refine_patterns: per-cluster non-naive patterns to add (§6.4).
         min_support / max_pattern_size: Apriori bounds for refinement.
         jobs: worker count for the partition-parallel Fit/Refine
-            stages; 1 (the default) runs the serial reference loop.
-        executor: execution backend — ``"serial"`` | ``"thread"`` |
-            ``"process"`` | ``"auto"`` (process when ``jobs > 1``), or
-            a :class:`repro.core.executor.Executor` instance to reuse a
-            live worker pool across calls.  Results are bit-identical
-            across all of them.
+            stages; 1 (the default) runs the serial reference loop,
+            more runs a pool of worker processes for each ``compress``
+            call.  Results are bit-identical either way.
         seed: RNG seed or generator.
     """
 
@@ -265,7 +263,6 @@ class LogRCompressor:
         min_support: float = 0.05,
         max_pattern_size: int = 3,
         jobs: int = 1,
-        executor: Executor | str | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         if n_clusters < 1:
@@ -280,7 +277,6 @@ class LogRCompressor:
         self.min_support = min_support
         self.max_pattern_size = max_pattern_size
         self.jobs = jobs
-        self.executor = executor
         self._rng = ensure_rng(seed)
 
     def pipeline(self, executor: Executor) -> CompressionPipeline:
@@ -299,12 +295,8 @@ class LogRCompressor:
     def compress(self, log: QueryLog) -> CompressedLog:
         """Compress *log* into a pattern mixture encoding."""
         watch = Stopwatch()
-        executor, owned = self._resolve_executor()
-        try:
+        with executor_for(self.jobs) as executor:
             result = self.pipeline(executor).run(log, self._rng)
-        finally:
-            if owned:
-                executor.close()
         elapsed = watch.elapsed()
         return CompressedLog(
             mixture=result.mixture,
@@ -321,12 +313,6 @@ class LogRCompressor:
         return PartitionStage(
             self.n_clusters, self.method, self.metric, self.n_init
         ).run(log, self._rng)
-
-    def _resolve_executor(self) -> tuple[Executor, bool]:
-        """(executor, whether this call owns — and must close — it)."""
-        if isinstance(self.executor, Executor):
-            return self.executor, False
-        return resolve_executor(self.executor, self.jobs), True
 
 
 @dataclass
@@ -392,7 +378,6 @@ def compress_sweep(
     metric: str = "euclidean",
     n_init: int = 10,
     jobs: int = 1,
-    executor: Executor | str | None = None,
     seed: int | np.random.Generator | None = None,
 ) -> list[SweepPoint]:
     """Compress *log* for each K in *ks*; the Fig. 2 measurement loop.
@@ -420,13 +405,8 @@ def compress_sweep(
         )
         for k, child in zip(ks, children)
     ]
-    runner = resolve_executor(executor, jobs)
-    owned = not isinstance(executor, Executor)
-    try:
+    with executor_for(jobs) as runner:
         return runner.map(_sweep_task, tasks)
-    finally:
-        if owned:
-            runner.close()
 
 
 def compress_to_error(
@@ -437,7 +417,6 @@ def compress_to_error(
     metric: str = "euclidean",
     n_init: int = 10,
     jobs: int = 1,
-    executor: Executor | str | None = None,
     seed: int | np.random.Generator | None = None,
 ) -> CompressedLog:
     """Grow K (doubling) until Generalized Error ≤ *target_error*.
@@ -464,13 +443,10 @@ def compress_to_error(
         if k >= max_clusters:
             break
         k *= 2
-    runner = resolve_executor(executor, jobs)
-    owned = not isinstance(executor, Executor)
-    wave = max(1, runner.jobs)
-    try:
+    with executor_for(jobs) as runner:
         best: CompressedLog | None = None
-        for lo in range(0, len(rungs), wave):
-            chunk = rungs[lo : lo + wave]
+        for lo in range(0, len(rungs), jobs):
+            chunk = rungs[lo : lo + jobs]
             tasks = [
                 (
                     _CompressorSpec(rung, method, metric, n_init, _fresh_child(seed)),
@@ -483,9 +459,6 @@ def compress_to_error(
                     return best
         assert best is not None
         return best
-    finally:
-        if owned:
-            runner.close()
 
 
 def _fresh_child(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -534,33 +507,6 @@ def _shard_task(
     return compressed.mixture, normalized.astype(np.int64)
 
 
-def _merge_tree(
-    mixtures: Sequence[PatternMixtureEncoding], fanin: int | None
-) -> PatternMixtureEncoding:
-    """Merge shard mixtures flat or as a multi-level tree of *fanin*.
-
-    ``merged`` is exactly associative — the union vocabulary is built
-    in first-seen order and components concatenate in input order, so
-    grouping consecutive mixtures level by level (chunk → shard →
-    tenant → global) yields the same final vocabulary, the same
-    component order, and bit-identical parameters as one flat merge.
-    The tree shape is therefore pure mechanics: each level holds at
-    most ``len(level) / fanin`` intermediate mixtures alive, instead
-    of all shard mixtures plus the flat merge's full union at once.
-    """
-    if fanin is None:
-        return PatternMixtureEncoding.merged(mixtures)
-    if fanin < 2:
-        raise ValueError("merge_fanin must be >= 2")
-    level = list(mixtures)
-    while len(level) > 1:
-        level = [
-            PatternMixtureEncoding.merged(level[i : i + fanin])
-            for i in range(0, len(level), fanin)
-        ]
-    return level[0]
-
-
 def compress_sharded(
     log: QueryLog | ColumnarLog,
     n_shards: int,
@@ -570,9 +516,7 @@ def compress_sharded(
     n_init: int = 10,
     consolidate_to: int | None = None,
     jobs: int = 1,
-    executor: Executor | str | None = None,
     seed: int | np.random.Generator | None = None,
-    merge_fanin: int | None = None,
 ) -> CompressedLog:
     """Shard-and-merge compression for logs too big for one pass.
 
@@ -600,7 +544,7 @@ def compress_sharded(
     Per-shard randomness uses the same fresh-child spawning as
     ``compress_sweep``/``compress_to_error`` (shard *i*'s stream
     depends only on *seed* and *i*), so results are bit-identical at
-    any worker count and across serial/thread/process executors.
+    any worker count.
 
     *log* may also be an on-disk :class:`~repro.core.colstore.
     ColumnarLog`: shards then ship as (path, row range) references and
@@ -608,13 +552,6 @@ def compress_sharded(
     chunks, so the full matrix never exists in any process.  Because
     ``ColumnarLog.slice_log`` reproduces ``log.subset`` exactly, the
     artifact is bit-identical to compressing the materialized log.
-
-    ``merge_fanin`` turns the final merge into a multi-level tree
-    (consecutive groups of *fanin* mixtures merged level by level —
-    chunk → shard → tenant → global).  ``merged`` is exactly
-    associative, so the result is bit-identical to the flat merge;
-    the tree only bounds how many intermediate unions are alive at
-    once.
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
@@ -635,15 +572,10 @@ def compress_sharded(
         )
         for chunk, child in zip(chunks, children)
     ]
-    runner = resolve_executor(executor, jobs)
-    owned = not isinstance(executor, Executor)
-    try:
+    with executor_for(jobs) as runner:
         shard_results = runner.map(_shard_task, tasks)
-    finally:
-        if owned:
-            runner.close()
     mixtures = [mixture for mixture, _ in shard_results]
-    merged = _merge_tree(mixtures, merge_fanin)
+    merged = PatternMixtureEncoding.merged(mixtures)
     offsets = np.cumsum([0] + [m.n_components for m in mixtures[:-1]])
     labels = np.concatenate(
         [shard_labels + offset for (_, shard_labels), offset in zip(shard_results, offsets)]

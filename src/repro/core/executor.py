@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the staged compression pipeline.
+"""Serial and process-pool execution for the staged compression pipeline.
 
 The paper's §6 pipeline is embarrassingly parallel across partitions,
 across K candidates of a sweep, and across shards of a huge log — but
@@ -18,16 +18,19 @@ module is used:
    consumes depends only on the root seed and the task's index, never
    on which worker ran it or what ran before it.
 
-``SerialExecutor`` is the reference semantics; ``ThreadExecutor`` and
-``ProcessExecutor`` are drop-in replacements that must never change a
-result, only the wall clock.
+``SerialExecutor`` is the reference semantics; ``ProcessExecutor`` is
+a drop-in replacement that must never change a result, only the wall
+clock.  ``jobs`` is the only parallelism setting: :func:`executor_for`
+gives the serial loop for one worker and a process pool otherwise.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -36,19 +39,13 @@ from .._rng import ensure_rng
 from ..obs import metrics as _metrics
 
 __all__ = [
-    "EXECUTOR_KINDS",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
-    "get_executor",
-    "resolve_executor",
+    "executor_for",
     "spawn_generators",
     "available_jobs",
 ]
-
-#: The pluggable backend names accepted by :func:`get_executor`.
-EXECUTOR_KINDS = ("serial", "thread", "process")
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -83,7 +80,7 @@ class Executor:
     results or share state between tasks.
     """
 
-    #: Backend name, one of :data:`EXECUTOR_KINDS`.
+    #: Backend name, ``"serial"`` or ``"process"`` (labels telemetry).
     kind: str = "serial"
     #: Maximum concurrent workers this executor will use.
     jobs: int = 1
@@ -117,63 +114,33 @@ class SerialExecutor(Executor):
         return results
 
 
-class ThreadExecutor(Executor):
-    """Thread-pool backend.
+class ProcessExecutor(Executor):
+    """Process-pool backend: true parallelism for Python-heavy stages.
 
-    Useful when the work releases the GIL (NumPy kernels) or blocks on
-    I/O; pure-Python stages see little speedup but remain bit-identical.
-    The pool is created lazily and reused across ``map`` calls.
+    Task functions must be module-level (picklable by reference) and
+    payloads picklable by value — the spawn-safety contract.  The pool
+    is created on the first ``map`` and reused until :meth:`close`.  Its
+    start method is the platform default (``fork`` on Linux, cheap)
+    when the creating process runs a single thread, and ``spawn`` when
+    other threads are alive (a server's handler threads): forking while
+    another thread holds a lock can deadlock the child.  Results are
+    bit-identical either way because tasks carry their randomness with
+    them.
     """
 
-    kind = "thread"
+    kind = "process"
 
     def __init__(self, jobs: int) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self._pool: ThreadPoolExecutor | None = None
-
-    def map(self, fn: Callable[[_T], _R], tasks: Sequence[_T]) -> list[_R]:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.jobs)
-        watch = Stopwatch()
-        results = list(self._pool.map(fn, tasks))
-        _observe_map(self.kind, len(tasks), watch.elapsed())
-        return results
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class ProcessExecutor(Executor):
-    """Process-pool backend: true parallelism for Python-heavy stages.
-
-    Task functions must be module-level (picklable by reference) and
-    payloads picklable by value — the spawn-safety contract.  The start
-    method defaults to the platform default (``fork`` on Linux, cheap;
-    ``spawn`` elsewhere); pass ``start_method="spawn"`` to force the
-    stricter re-import semantics anywhere.  Results are bit-identical
-    either way because tasks carry their randomness with them.
-    """
-
-    kind = "process"
-
-    def __init__(self, jobs: int, start_method: str | None = None) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
-        self.start_method = start_method
         self._pool: ProcessPoolExecutor | None = None
 
     def map(self, fn: Callable[[_T], _R], tasks: Sequence[_T]) -> list[_R]:
         if self._pool is None:
-            import multiprocessing
-
             context = (
-                multiprocessing.get_context(self.start_method)
-                if self.start_method
+                multiprocessing.get_context("spawn")
+                if threading.active_count() > 1
                 else None
             )
             self._pool = ProcessPoolExecutor(
@@ -190,62 +157,24 @@ class ProcessExecutor(Executor):
             self._pool = None
 
 
+def executor_for(jobs: int) -> Executor:
+    """The executor for *jobs* workers: serial for 1, a process pool above.
+
+    One worker has nothing to parallelize, and the serial loop avoids
+    pool start-up.  Open the result in a ``with`` block so the pool is
+    shut down when the work is done.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    return SerialExecutor() if jobs == 1 else ProcessExecutor(jobs)
+
+
 def available_jobs() -> int:
     """Worker count the current machine can actually run concurrently."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def get_executor(
-    kind: str = "auto", jobs: int = 1, start_method: str | None = None
-) -> Executor:
-    """Build an executor for *kind* and *jobs*.
-
-    ``"auto"`` picks ``serial`` for ``jobs <= 1`` and ``process``
-    otherwise (the only backend that speeds up the Python-heavy
-    clustering/refinement stages).  ``jobs <= 1`` always yields the
-    serial backend, whatever *kind* says — one worker has nothing to
-    parallelize and the serial loop avoids pool overhead.
-
-    A process kind may pin its start method with a ``:`` suffix —
-    ``"process:spawn"`` / ``"process:forkserver"`` / ``"process:fork"``
-    — so callers that plumb executor names through configuration (the
-    analytics server, the CLI) can request fork-safety without carrying
-    an extra parameter.  Multithreaded hosts must avoid ``fork``:
-    forking while other threads hold locks can deadlock the child.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if kind == "auto":
-        kind = "serial" if jobs <= 1 else "process"
-    if kind.startswith("process:"):
-        kind, _, requested = kind.partition(":")
-        if requested not in ("fork", "forkserver", "spawn"):
-            raise ValueError(f"unknown process start method {requested!r}")
-        start_method = start_method or requested
-    if kind not in EXECUTOR_KINDS:
-        raise ValueError(f"executor must be one of {EXECUTOR_KINDS}, got {kind!r}")
-    if jobs <= 1 or kind == "serial":
-        return SerialExecutor()
-    if kind == "thread":
-        return ThreadExecutor(jobs)
-    return ProcessExecutor(jobs, start_method=start_method)
-
-
-def resolve_executor(
-    executor: Executor | str | None, jobs: int = 1
-) -> Executor:
-    """Normalize the ``executor=`` / ``jobs=`` pair every API layer takes.
-
-    Accepts an :class:`Executor` instance (returned as-is), a backend
-    name from :data:`EXECUTOR_KINDS` (or ``"auto"``), or ``None``
-    (treated as ``"auto"``).
-    """
-    if isinstance(executor, Executor):
-        return executor
-    return get_executor(executor or "auto", jobs)
 
 
 def spawn_generators(

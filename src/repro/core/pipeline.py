@@ -169,13 +169,14 @@ class CompressionPipeline:
     The assembled form of the §6 pipeline.  ``LogRCompressor`` builds
     one per ``compress`` call; standalone use composes custom stages::
 
-        pipeline = CompressionPipeline(
-            partition=PartitionStage(8, "spectral", "hamming"),
-            fit=FitStage(),
-            refine=RefineStage(4),
-            executor=get_executor("process", jobs=4),
-        )
-        result = pipeline.run(log, rng=np.random.default_rng(0))
+        with executor_for(4) as executor:
+            pipeline = CompressionPipeline(
+                partition=PartitionStage(8, "spectral", "hamming"),
+                fit=FitStage(),
+                refine=RefineStage(4),
+                executor=executor,
+            )
+            result = pipeline.run(log, rng=np.random.default_rng(0))
     """
 
     def __init__(

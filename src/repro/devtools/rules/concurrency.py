@@ -38,8 +38,8 @@ class SpawnUnsafeCallable(Rule):
     """PAR01 — executor payloads must pickle by reference.
 
     Invariant: the process executor uses the ``spawn`` start method
-    (fork duplicates other threads' held locks), and spawn pickles the
-    mapped callable *by qualified name*.  A lambda, a function nested
+    whenever other threads are alive (fork duplicates their held
+    locks), and spawn pickles the mapped callable *by qualified name*.  A lambda, a function nested
     inside another function, or a bound instance method (``self.fn``)
     either fails to pickle outright or drags the whole enclosing object
     graph across the process boundary.  Only module-level functions

@@ -14,9 +14,9 @@ one-module audit.  Spans are telemetry-only (see the package
 docstring): the tree is for export, never for control flow.
 
 Thread scope: the tracer is thread-local by design.  Work fanned out
-through ``ThreadExecutor``/``ProcessExecutor`` runs on threads (or
-processes) with no active tracer, so a trace records the *orchestrating*
-thread's view — stage boundaries and map calls, not per-task internals.
+through ``ProcessExecutor`` runs in worker processes with no active
+tracer, so a trace records the *orchestrating* thread's view — stage
+boundaries and map calls, not per-task internals.
 """
 
 from __future__ import annotations

@@ -114,21 +114,20 @@ class IncrementalIngestor:
             recompression.  ``float("inf")`` disables the trigger;
             a negative value recompresses on every batch.
         seed: RNG seed for the recompression clustering.
-        jobs / executor: forwarded to the recompression
+        jobs: worker count for the recompression
             :class:`~repro.core.compress.LogRCompressor`, so the
-            staleness escape hatch runs through the staged pipeline's
-            executor (partition-parallel fits) instead of pinning the
-            serving thread to one core.  Results stay bit-identical to
-            the serial path at any worker count.
-        remove_constants / max_disjuncts: statement-parsing knobs,
-            matching :func:`repro.workloads.logio.load_log`.
+            staleness escape hatch can run its partition-parallel fits
+            in worker processes instead of pinning the serving thread to
+            one core.  Results stay bit-identical to the serial path at
+            any worker count.
         feature_cache: the :class:`~repro.core.featurecache.
             FeatureCache` statements are encoded through (repeated
             templates skip the SQL parser).  Pass a shared one to reuse
             it (e.g. one per windowed profile, shared across its panes);
-            it must match the parsing knobs.  By default the ingestor
-            builds its own.  The per-codebook row cache takes its
-            capacity.
+            its extractor must use the default parsing knobs (constants
+            removed, the default disjunct cap), as every store consumer
+            does.  By default the ingestor builds its own.  The
+            per-codebook row cache takes its capacity.
     """
 
     def __init__(
@@ -138,9 +137,6 @@ class IncrementalIngestor:
         staleness_threshold: float = 0.5,
         seed: int | np.random.Generator | None = 0,
         jobs: int = 1,
-        executor=None,
-        remove_constants: bool = True,
-        max_disjuncts: int = 64,
         feature_cache: FeatureCache | None = None,
     ):
         mixture = compressed.mixture
@@ -159,19 +155,16 @@ class IncrementalIngestor:
         self.staleness_threshold = float(staleness_threshold)
         self._rng = ensure_rng(seed)
         self.jobs = jobs
-        self.executor = executor
         self._vocabulary = mixture.vocabulary
+        default = AligonExtractor()
         if feature_cache is None:
-            feature_cache = FeatureCache(
-                AligonExtractor(
-                    remove_constants=remove_constants, max_disjuncts=max_disjuncts
-                )
-            )
+            feature_cache = FeatureCache(default)
         else:
             extractor = feature_cache.extractor
             if (
-                getattr(extractor, "remove_constants", None) != remove_constants
-                or getattr(extractor, "max_disjuncts", None) != max_disjuncts
+                getattr(extractor, "remove_constants", None)
+                != default.remove_constants
+                or getattr(extractor, "max_disjuncts", None) != default.max_disjuncts
             ):
                 raise ValueError(
                     "shared feature_cache was built with different parsing "
@@ -220,7 +213,6 @@ class IncrementalIngestor:
         n_init: int = 10,
         seed: int | np.random.Generator | None = 0,
         jobs: int = 1,
-        executor=None,
         staleness_threshold: float = float("inf"),
         **kwargs,
     ) -> "IncrementalIngestor":
@@ -239,7 +231,6 @@ class IncrementalIngestor:
             metric=metric,
             n_init=n_init,
             jobs=jobs,
-            executor=executor,
             seed=rng.spawn(1)[0],
         )
         return cls(
@@ -248,7 +239,6 @@ class IncrementalIngestor:
             staleness_threshold=staleness_threshold,
             seed=rng,
             jobs=jobs,
-            executor=executor,
             **kwargs,
         )
 
@@ -466,7 +456,6 @@ class IncrementalIngestor:
             method=method if method != "unknown" else "kmeans",
             metric=metric if metric != "unknown" else "euclidean",
             jobs=self.jobs,
-            executor=self.executor,
             seed=self._rng.spawn(1)[0],
         )
         _INGEST_RECOMPRESSIONS.inc()

@@ -87,19 +87,6 @@ __all__ = ["AnalyticsService", "AnalyticsServer", "serve"]
 DEFAULT_WINDOW_SIZE = 500
 
 
-def _recompression_executor(jobs: int) -> str | None:
-    """The executor recompression and pane consolidation run on.
-
-    They run on a handler thread of a multithreaded server, where fork
-    could duplicate locks held by other threads, so ``jobs > 1`` pins
-    spawn by *name*: a fresh pool per run, torn down after it.  That is
-    acceptable because recompression is staleness-gated and rare, and a
-    long-lived per-profile pool would outlive LRU eviction (a cache
-    drop has no close hook).
-    """
-    return "process:spawn" if jobs > 1 else None
-
-
 def _snapshot_mixture(mixture: PatternMixtureEncoding) -> PatternMixtureEncoding:
     """A frozen copy: cloned codebook and component list.
 
@@ -148,7 +135,6 @@ class _Profile:
                     staleness_threshold=staleness_threshold,
                     seed=seed,
                     jobs=jobs,
-                    executor=_recompression_executor(jobs),
                 )
             except ValueError:
                 # e.g. a refined mixture: it cannot be incrementally
@@ -227,9 +213,12 @@ class AnalyticsService:
         staleness_threshold: Error drift (bits) before an ingest
             triggers full recompression.
         seed: RNG seed for recompression and drift calibration.
-        jobs: worker count for staleness-triggered recompression (the
-            fit/refine stages run through a process executor when > 1;
-            results are bit-identical to the serial path).
+        jobs: worker count for staleness-triggered recompression and
+            pane compression.  Above 1 they run in a fresh pool of
+            worker processes per run, started with ``spawn`` because
+            the handler threads are alive (see
+            :class:`~repro.core.executor.ProcessExecutor`); results are
+            bit-identical to the serial path.
         pane_statements: when set, every ``/ingest`` batch is also
             routed into the profile's windowed panes (tumbling panes of
             this many statements, split at boundaries); ``/window`` and
@@ -383,7 +372,6 @@ class AnalyticsService:
                     n_clusters=self.pane_clusters,
                     seed=self.seed,
                     jobs=self.jobs,
-                    executor=_recompression_executor(self.jobs),
                 )
                 entry = (handle, threading.Lock())
                 self._windows[name] = entry

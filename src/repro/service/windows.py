@@ -24,7 +24,7 @@ summary algebra (:mod:`repro.core.mixture`):
 * ``timeline()`` — the per-pane drift/Error series straight from the
   manifest (no segment file, let alone raw SQL, is touched);
 * ``recompress_cold(K)`` — consolidate sealed panes' components down to
-  K in parallel across panes (the PR-3 executor layer), trimming the
+  K in parallel across panes (the executor layer), trimming the
   Verbosity of cold history without changing pane identity.
 
 Batches that straddle a pane boundary are split *at* the boundary: the
@@ -41,7 +41,7 @@ import numpy as np
 
 from .._rng import ensure_rng
 from ..core.diff import mixture_divergence
-from ..core.executor import Executor, resolve_executor, spawn_generators
+from ..core.executor import executor_for, spawn_generators
 from ..core.featurecache import FeatureCache
 from ..core.mixture import PatternMixtureEncoding
 from ..obs import metrics as _metrics
@@ -85,10 +85,10 @@ class WindowedProfile:
             distinct rows).
         method / metric / n_init: clustering knobs for the per-pane
             compression (§6.1).
-        remove_constants / max_disjuncts: statement-parsing knobs.
         seed: RNG seed for pane compressions and consolidations.
-        jobs / executor: forwarded to pane compressions and to
-            :meth:`recompress_cold` (the staged pipeline's executor).
+        jobs: worker count for pane compressions and
+            :meth:`recompress_cold`; 1 runs the serial loop, more a
+            pool of worker processes.
 
     Pane ingestion shares one :class:`~repro.core.featurecache.
     FeatureCache` across *all* panes (templates are
@@ -110,11 +110,8 @@ class WindowedProfile:
         method: str = "kmeans",
         metric: str = "euclidean",
         n_init: int = 10,
-        remove_constants: bool = True,
-        max_disjuncts: int = 64,
         seed: int | np.random.Generator | None = 0,
         jobs: int = 1,
-        executor: Executor | str | None = None,
     ):
         if pane_statements < 1:
             raise ValueError("pane_statements must be >= 1")
@@ -127,15 +124,8 @@ class WindowedProfile:
         self.method = method
         self.metric = metric
         self.n_init = n_init
-        self.remove_constants = remove_constants
-        self.max_disjuncts = max_disjuncts
         self.jobs = jobs
-        self.executor = executor
-        self._feature_cache = FeatureCache(
-            AligonExtractor(
-                remove_constants=remove_constants, max_disjuncts=max_disjuncts
-            )
-        )
+        self._feature_cache = FeatureCache(AligonExtractor())
         self._rng = ensure_rng(seed)
         # Composition and cold recompression must be *pure reads*:
         # identical queries return identical summaries, however many
@@ -188,10 +178,7 @@ class WindowedProfile:
             self._bootstrap.extend(chunk)
             try:
                 log, report = load_log(
-                    self._bootstrap,
-                    remove_constants=self.remove_constants,
-                    max_disjuncts=self.max_disjuncts,
-                    feature_cache=self._feature_cache,
+                    self._bootstrap, feature_cache=self._feature_cache
                 )
             except ValueError:
                 return  # still nothing parseable; keep buffering
@@ -203,9 +190,6 @@ class WindowedProfile:
                 n_init=self.n_init,
                 seed=self._rng.spawn(1)[0],
                 jobs=self.jobs,
-                executor=self.executor,
-                remove_constants=self.remove_constants,
-                max_disjuncts=self.max_disjuncts,
                 feature_cache=self._feature_cache,
             )
             self._pane_encoded += report.usable
@@ -419,21 +403,17 @@ class WindowedProfile:
     # ------------------------------------------------------------------
     # cold-pane maintenance (rides the executor layer)
     # ------------------------------------------------------------------
-    def recompress_cold(
-        self,
-        consolidate_to: int,
-        jobs: int | None = None,
-        executor: Executor | str | None = None,
-    ) -> list[PaneSegment]:
+    def recompress_cold(self, consolidate_to: int) -> list[PaneSegment]:
         """Consolidate sealed panes' components down to *consolidate_to*.
 
         Pane fits are per-chunk, so a sealed pane can carry more
         components than its history deserves; consolidation merges
         near-duplicates *exactly* (:meth:`PatternMixtureEncoding.
         consolidated`), trimming Verbosity at unchanged pane identity.
-        Panes are independent, so they consolidate concurrently on the
-        executor layer — per-pane RNG children are pre-spawned in pane
-        order, keeping results bit-identical at any worker count.
+        Panes are independent, so they consolidate concurrently across
+        the profile's ``jobs`` workers — per-pane RNG children are
+        pre-spawned in pane order, keeping results bit-identical at any
+        worker count.
         Returns the rewritten segment records.
         """
         if consolidate_to < 1:
@@ -452,18 +432,8 @@ class WindowedProfile:
             (self.pane_mixture(record.index), consolidate_to, self.n_init, child)
             for record, child in zip(candidates, children)
         ]
-        jobs = self.jobs if jobs is None else jobs
-        runner = resolve_executor(
-            self.executor if executor is None else executor, jobs
-        )
-        owned = not isinstance(
-            self.executor if executor is None else executor, Executor
-        )
-        try:
+        with executor_for(self.jobs) as runner:
             consolidated = runner.map(_consolidate_pane, tasks)
-        finally:
-            if owned:
-                runner.close()
         rewritten = []
         for record, mixture in zip(candidates, consolidated):
             rewritten.append(

@@ -123,3 +123,27 @@ def _dense_point_probabilities(mixture, matrix) -> np.ndarray:
 def dense_point_probabilities():
     """The dense eq. 1 oracle of ``PatternMixtureEncoding.point_probabilities``."""
     return _dense_point_probabilities
+
+
+@pytest.fixture()
+def pool_start_methods(monkeypatch):
+    """Start method of every process pool the executor layer creates.
+
+    Records ``mp_context``'s start method per pool, or ``None`` when the
+    pool was left on the platform default.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.core import executor
+
+    methods: list = []
+
+    class _RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, mp_context=None, **kwargs):
+            methods.append(
+                None if mp_context is None else mp_context.get_start_method()
+            )
+            super().__init__(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", _RecordingPool)
+    return methods

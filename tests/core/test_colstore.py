@@ -261,7 +261,7 @@ class TestWriter:
 
 
 class TestColumnarCompression:
-    """Sharded compression from disk == from RAM, and tree merge == flat."""
+    """Sharded compression from disk == from RAM."""
 
     @pytest.fixture(scope="class")
     def logs(self, tmp_path_factory):
@@ -275,35 +275,15 @@ class TestColumnarCompression:
         _, reference = logs
         return compress_sharded(reference, 4, n_clusters=3, n_init=2, seed=7)
 
-    @pytest.mark.parametrize("kind,jobs", [("serial", 1), ("thread", 2), ("process", 2)])
-    def test_columnar_source_matches_flat(self, logs, flat_reference, kind, jobs):
+    @pytest.mark.parametrize(
+        "jobs", [pytest.param(1, id="serial-1"), pytest.param(2, id="process-2")]
+    )
+    def test_columnar_source_matches_flat(self, logs, flat_reference, jobs):
         columnar, _ = logs
         compressed = compress_sharded(
-            columnar, 4, n_clusters=3, n_init=2, seed=7,
-            jobs=jobs, executor=kind,
+            columnar, 4, n_clusters=3, n_init=2, seed=7, jobs=jobs
         )
         assert _artifact_key(compressed) == _artifact_key(flat_reference)
-
-    @pytest.mark.parametrize("fanin", [2, 3])
-    def test_merge_tree_matches_flat_merge(self, logs, flat_reference, fanin):
-        _, reference = logs
-        compressed = compress_sharded(
-            reference, 4, n_clusters=3, n_init=2, seed=7, merge_fanin=fanin
-        )
-        assert _artifact_key(compressed) == _artifact_key(flat_reference)
-
-    def test_columnar_tree_process_matches_flat(self, logs, flat_reference):
-        columnar, _ = logs
-        compressed = compress_sharded(
-            columnar, 4, n_clusters=3, n_init=2, seed=7,
-            merge_fanin=2, jobs=2, executor="process",
-        )
-        assert _artifact_key(compressed) == _artifact_key(flat_reference)
-
-    def test_merge_fanin_validation(self, logs):
-        _, reference = logs
-        with pytest.raises(ValueError, match="merge_fanin"):
-            compress_sharded(reference, 2, merge_fanin=1)
 
 
 class TestLoadLogColumnar:

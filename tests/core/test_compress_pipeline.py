@@ -2,9 +2,8 @@
 
 The executor contract (repro.core.executor) promises that compress(),
 compress_sweep(), compress_to_error(), and compress_sharded() are
-bit-identical across jobs ∈ {1, 2, 4} and across the serial / thread /
-process backends at a fixed seed.  These tests are that promise,
-executed.
+bit-identical across jobs ∈ {1, 2, 4} — the serial loop and process
+pools — at a fixed seed.  These tests are that promise, executed.
 """
 
 import numpy as np
@@ -16,7 +15,7 @@ from repro.core.compress import (
     compress_sweep,
     compress_to_error,
 )
-from repro.core.executor import get_executor
+from repro.core.executor import SerialExecutor
 from repro.core.mixture import PatternMixtureEncoding
 from repro.core.pipeline import (
     CompressionPipeline,
@@ -25,13 +24,11 @@ from repro.core.pipeline import (
     RefineStage,
 )
 
-#: The property-test grid from the issue: every backend at 1/2/4 workers.
+#: The property-test grid: the serial loop and process pools of 2 and 4.
 PARALLEL_GRID = [
-    ("serial", 1),
-    ("thread", 2),
-    ("thread", 4),
-    ("process", 2),
-    ("process", 4),
+    pytest.param(1, id="serial-1"),
+    pytest.param(2, id="process-2"),
+    pytest.param(4, id="process-4"),
 ]
 
 
@@ -64,7 +61,7 @@ class TestStages:
     def test_fit_stage_matches_from_partitions(self, small_pocketdata_log):
         labels = np.arange(small_pocketdata_log.n_distinct) % 3
         partitions, mixture = FitStage().run(
-            small_pocketdata_log, labels, get_executor("serial")
+            small_pocketdata_log, labels, SerialExecutor()
         )
         reference = PatternMixtureEncoding.from_partitions(
             small_pocketdata_log.partition(labels),
@@ -77,9 +74,9 @@ class TestStages:
     def test_refine_stage_noop_without_patterns(self, example4_log):
         labels = np.zeros(example4_log.n_distinct, dtype=int)
         partitions, mixture = FitStage().run(
-            example4_log, labels, get_executor("serial")
+            example4_log, labels, SerialExecutor()
         )
-        refined = RefineStage(0).run(partitions, mixture, get_executor("serial"))
+        refined = RefineStage(0).run(partitions, mixture, SerialExecutor())
         assert all(c.extra is None for c in refined.components)
 
     def test_pipeline_records_stage_timings(self, small_pocketdata_log):
@@ -98,13 +95,12 @@ class TestCompressDeterminism:
             n_clusters=5, n_init=2, refine_patterns=2, seed=11
         ).compress(small_pocketdata_log)
 
-    @pytest.mark.parametrize("kind,jobs", PARALLEL_GRID)
+    @pytest.mark.parametrize("jobs", PARALLEL_GRID)
     def test_bit_identical_across_executors(
-        self, small_pocketdata_log, reference, kind, jobs
+        self, small_pocketdata_log, reference, jobs
     ):
         compressed = LogRCompressor(
-            n_clusters=5, n_init=2, refine_patterns=2, seed=11,
-            jobs=jobs, executor=kind,
+            n_clusters=5, n_init=2, refine_patterns=2, seed=11, jobs=jobs,
         ).compress(small_pocketdata_log)
         assert _artifact_key(compressed) == _artifact_key(reference)
         # refinement extras must also agree exactly
@@ -115,20 +111,6 @@ class TestCompressDeterminism:
             theirs_extra = dict(theirs.extra.items()) if theirs.extra else None
             assert ours_extra == theirs_extra
 
-    def test_executor_instance_reusable_across_calls(self, small_pocketdata_log):
-        serial = LogRCompressor(n_clusters=3, n_init=2, seed=4).compress(
-            small_pocketdata_log
-        )
-        with get_executor("thread", 2) as executor:
-            first = LogRCompressor(
-                n_clusters=3, n_init=2, seed=4, executor=executor
-            ).compress(small_pocketdata_log)
-            second = LogRCompressor(
-                n_clusters=3, n_init=2, seed=4, executor=executor
-            ).compress(small_pocketdata_log)
-        assert _artifact_key(first) == _artifact_key(serial)
-        assert _artifact_key(second) == _artifact_key(serial)
-
 
 class TestSweepDeterminism:
     KS = [1, 2, 4]
@@ -137,13 +119,12 @@ class TestSweepDeterminism:
     def reference(self, small_pocketdata_log):
         return compress_sweep(small_pocketdata_log, self.KS, n_init=2, seed=11)
 
-    @pytest.mark.parametrize("kind,jobs", PARALLEL_GRID)
+    @pytest.mark.parametrize("jobs", PARALLEL_GRID)
     def test_bit_identical_across_executors(
-        self, small_pocketdata_log, reference, kind, jobs
+        self, small_pocketdata_log, reference, jobs
     ):
         points = compress_sweep(
-            small_pocketdata_log, self.KS, n_init=2, seed=11,
-            jobs=jobs, executor=kind,
+            small_pocketdata_log, self.KS, n_init=2, seed=11, jobs=jobs
         )
         assert [(p.n_clusters, p.error, p.verbosity) for p in points] == [
             (p.n_clusters, p.error, p.verbosity) for p in reference
@@ -151,16 +132,14 @@ class TestSweepDeterminism:
 
 
 class TestCompressToErrorDeterminism:
-    @pytest.mark.parametrize("kind,jobs", [("thread", 2), ("process", 4)])
-    def test_speculative_search_matches_serial(
-        self, small_pocketdata_log, kind, jobs
-    ):
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_speculative_search_matches_serial(self, small_pocketdata_log, jobs):
         serial = compress_to_error(
             small_pocketdata_log, 0.0, max_clusters=8, n_init=2, seed=13
         )
         parallel = compress_to_error(
             small_pocketdata_log, 0.0, max_clusters=8, n_init=2, seed=13,
-            jobs=jobs, executor=kind,
+            jobs=jobs,
         )
         assert _artifact_key(parallel) == _artifact_key(serial)
 
@@ -169,7 +148,7 @@ class TestCompressToErrorDeterminism:
         # wave speculates past it.
         compressed = compress_to_error(
             small_pocketdata_log, 1e9, max_clusters=16, n_init=2, seed=0,
-            jobs=4, executor="process",
+            jobs=4,
         )
         assert compressed.n_clusters == 1
 
@@ -181,13 +160,13 @@ class TestShardedDeterminism:
             small_pocketdata_log, n_shards=4, n_clusters=2, n_init=2, seed=11
         )
 
-    @pytest.mark.parametrize("kind,jobs", PARALLEL_GRID)
+    @pytest.mark.parametrize("jobs", PARALLEL_GRID)
     def test_bit_identical_across_executors(
-        self, small_pocketdata_log, reference, kind, jobs
+        self, small_pocketdata_log, reference, jobs
     ):
         compressed = compress_sharded(
             small_pocketdata_log, n_shards=4, n_clusters=2, n_init=2, seed=11,
-            jobs=jobs, executor=kind,
+            jobs=jobs,
         )
         assert _artifact_key(compressed) == _artifact_key(reference)
 
@@ -198,7 +177,7 @@ class TestShardedDeterminism:
         )
         parallel = compress_sharded(
             small_pocketdata_log, n_shards=4, n_clusters=2, n_init=2,
-            consolidate_to=3, seed=11, jobs=4, executor="process",
+            consolidate_to=3, seed=11, jobs=4,
         )
         assert _artifact_key(parallel) == _artifact_key(serial)
         assert serial.n_clusters == 3

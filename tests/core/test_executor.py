@@ -1,26 +1,21 @@
-"""Tests for the pluggable execution backends."""
+"""Tests for the serial and process-pool executors."""
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.executor import (
-    EXECUTOR_KINDS,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
-    get_executor,
-    resolve_executor,
+    executor_for,
     spawn_generators,
 )
 from repro.core.mixture import fit_component
 
 
 def _all_executors(jobs=2):
-    return [
-        SerialExecutor(),
-        ThreadExecutor(jobs),
-        ProcessExecutor(jobs),
-    ]
+    return [SerialExecutor(), ProcessExecutor(jobs)]
 
 
 class TestMapContract:
@@ -44,11 +39,6 @@ class TestMapContract:
                 )
                 assert ours.true_entropy == theirs.true_entropy
 
-    def test_thread_exceptions_propagate(self):
-        with ThreadExecutor(2) as executor:
-            with pytest.raises(ZeroDivisionError):
-                executor.map(lambda x: 1 // x, [1, 0, 2])
-
     def test_empty_task_list(self):
         for executor in _all_executors():
             with executor:
@@ -57,45 +47,18 @@ class TestMapContract:
 
 class TestResolution:
     def test_jobs_one_is_always_serial(self):
-        for kind in ("auto", "thread", "process"):
-            assert isinstance(get_executor(kind, jobs=1), SerialExecutor)
+        assert isinstance(executor_for(1), SerialExecutor)
 
     def test_auto_picks_process_for_parallel(self):
-        executor = get_executor("auto", jobs=3)
-        assert isinstance(executor, ProcessExecutor)
-        assert executor.jobs == 3
+        # executor_for is the one automatic pick: a pool above one job.
+        for jobs in (2, 3):
+            executor = executor_for(jobs)
+            assert isinstance(executor, ProcessExecutor)
+            assert executor.jobs == jobs
 
-    def test_kinds(self):
-        assert isinstance(get_executor("thread", 2), ThreadExecutor)
-        assert isinstance(get_executor("process", 2), ProcessExecutor)
-        assert isinstance(get_executor("serial", 2), SerialExecutor)
-
-    def test_unknown_kind_rejected(self):
+    def test_zero_jobs_rejected(self):
         with pytest.raises(ValueError):
-            get_executor("fleet", 2)
-        with pytest.raises(ValueError):
-            get_executor("auto", 0)
-        with pytest.raises(ValueError):
-            get_executor("process:vfork", 2)
-
-    def test_start_method_suffix(self):
-        # Multithreaded hosts (the analytics server) request fork-safety
-        # by name: "process:spawn" pins the start method.
-        executor = get_executor("process:spawn", 2)
-        assert isinstance(executor, ProcessExecutor)
-        assert executor.start_method == "spawn"
-        assert get_executor("process:fork", 2).start_method == "fork"
-        # jobs=1 still collapses to serial whatever the suffix says
-        assert isinstance(get_executor("process:spawn", 1), SerialExecutor)
-
-    def test_resolve_passes_instances_through(self):
-        executor = ThreadExecutor(2)
-        assert resolve_executor(executor, jobs=8) is executor
-        assert isinstance(resolve_executor(None, jobs=1), SerialExecutor)
-        assert isinstance(resolve_executor("thread", jobs=2), ThreadExecutor)
-
-    def test_kinds_constant_matches(self):
-        assert set(EXECUTOR_KINDS) == {"serial", "thread", "process"}
+            executor_for(0)
 
 
 class TestSpawnGenerators:
@@ -130,15 +93,27 @@ class TestSpawnGenerators:
 
 
 class TestProcessExecutor:
-    def test_spawn_start_method_round_trips_payloads(self, small_pocketdata_log):
+    def test_spawn_start_method_round_trips_payloads(
+        self, small_pocketdata_log, pool_start_methods
+    ):
         # The spawn-safety contract: a freshly imported interpreter must
         # be able to unpickle the task payload and produce the same
-        # component as the in-process loop.
+        # component as the in-process loop.  A pool made while another
+        # thread is alive (a server's handler threads) starts with spawn.
         parts = small_pocketdata_log.partition(
             np.arange(small_pocketdata_log.n_distinct) % 2
         )
-        with ProcessExecutor(2, start_method="spawn") as executor:
-            fitted = executor.map(fit_component, parts)
+        release = threading.Event()
+        bystander = threading.Thread(target=release.wait)
+        bystander.start()
+        try:
+            with ProcessExecutor(2) as executor:
+                fitted = executor.map(fit_component, parts)
+        finally:
+            release.set()
+            bystander.join(timeout=10)
+        assert not bystander.is_alive()
+        assert pool_start_methods == ["spawn"]
         reference = [fit_component(part) for part in parts]
         for ours, theirs in zip(fitted, reference):
             assert ours.size == theirs.size

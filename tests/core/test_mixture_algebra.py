@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.compress import LogRCompressor, compress_sharded
-from repro.core.executor import resolve_executor
 from repro.core.log import QueryLog
 from repro.core.mixture import PatternMixtureEncoding
 from repro.core.pattern import Pattern
@@ -288,19 +287,9 @@ CLUSTERING_NOISE_BITS = 0.75
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sharded_consolidated_error_within_noise_of_direct(small_pocketdata_log, jobs):
     log = small_pocketdata_log
-    executor = resolve_executor("thread" if jobs > 1 else "serial", jobs)
-    try:
-        sharded = compress_sharded(
-            log,
-            n_shards=2,
-            n_clusters=4,
-            consolidate_to=4,
-            jobs=jobs,
-            executor=executor,
-            seed=0,
-        )
-    finally:
-        executor.close()
+    sharded = compress_sharded(
+        log, n_shards=2, n_clusters=4, consolidate_to=4, jobs=jobs, seed=0
+    )
     direct = LogRCompressor(n_clusters=4, seed=0).compress(log)
     assert sharded.error >= direct.error - CLUSTERING_NOISE_BITS, (
         f"sharded-consolidated Error {sharded.error:.3f} beats the direct "
@@ -316,23 +305,10 @@ def test_sharded_consolidated_error_within_noise_of_direct(small_pocketdata_log,
 def test_sharded_merge_bit_identical_across_jobs(small_pocketdata_log):
     """jobs=1 and jobs=2 must produce the same artifact bit for bit."""
     log = small_pocketdata_log
-    results = []
-    for jobs in (1, 2):
-        executor = resolve_executor("thread" if jobs > 1 else "serial", jobs)
-        try:
-            results.append(
-                compress_sharded(
-                    log,
-                    n_shards=2,
-                    n_clusters=3,
-                    jobs=jobs,
-                    executor=executor,
-                    seed=7,
-                )
-            )
-        finally:
-            executor.close()
-    first, second = results
+    first, second = [
+        compress_sharded(log, n_shards=2, n_clusters=3, jobs=jobs, seed=7)
+        for jobs in (1, 2)
+    ]
     assert np.array_equal(first.labels, second.labels)
     assert fingerprint(first.mixture) == fingerprint(second.mixture)
     assert first.error == second.error

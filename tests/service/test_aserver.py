@@ -317,6 +317,47 @@ class TestDeepNesting:
         assert async_body == threaded_body
 
 
+class TestParallelRecompression:
+    """``jobs=2`` on a server recompresses in a spawn pool.
+
+    The recompression runs on a handler thread, so the pool must not
+    fork; its result must not depend on the worker count.
+    """
+
+    @pytest.mark.parametrize(
+        "transport",
+        [AnalyticsServer, AsyncAnalyticsServer],
+        ids=["threaded", "async"],
+    )
+    def test_ingest_recompresses_in_spawn_pool(
+        self, tmp_path, transport, pool_start_methods
+    ):
+        log = generate_tpch(
+            total=800, variants_per_template=4, seed=0
+        ).to_query_log()
+        compressed = LogRCompressor(n_clusters=2, seed=0, n_init=2).compress(log)
+        batch = _POOL + ["SELECT d FROM v WHERE w = 3"]
+        bodies = {}
+        for jobs in (1, 2):
+            store = SummaryStore(tmp_path / f"store-{jobs}")
+            store.save("tpch", compressed, log, note="seed")
+            server = transport(store, port=0, staleness_threshold=-1.0, jobs=jobs)
+            server.start()
+            try:
+                status, raw, _ = _post_raw(
+                    server.url, "/ingest", {"profile": "tpch", "statements": batch}
+                )
+            finally:
+                server.shutdown()
+            assert status == 200, raw
+            body = json.loads(raw)
+            assert body["report"]["recompressed"] is True
+            body["report"].pop("seconds")
+            bodies[jobs] = body
+        assert pool_start_methods == ["spawn"]
+        assert bodies[2] == bodies[1]
+
+
 def _get_metrics(base: str) -> str:
     with urllib.request.urlopen(base + "/metrics", timeout=30) as response:
         return response.read().decode("utf-8")

@@ -174,7 +174,6 @@ class TestExecutorRecompression:
                 staleness_threshold=-1.0,  # force recompression every batch
                 seed=0,
                 jobs=jobs,
-                executor="process" if jobs > 1 else None,
             )
             report = ingestor.ingest_statements(batch)
             assert report.recompressed

@@ -270,10 +270,11 @@ class TestColdRecompression:
         for jobs in (1, 2):
             store = SummaryStore(tmp_path / f"store-{jobs}")
             windowed = WindowedProfile(
-                store, "pocket", pane_statements=200, n_clusters=3, seed=0
+                store, "pocket", pane_statements=200, n_clusters=3, seed=0,
+                jobs=jobs,
             )
             windowed.ingest(pocket[:600])
-            windowed.recompress_cold(2, jobs=jobs, executor="thread")
+            windowed.recompress_cold(2)
             composites.append(windowed.window())
         one, two = composites
         assert one.total == two.total

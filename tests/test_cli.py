@@ -172,6 +172,38 @@ class TestServiceCommands:
                 ]
             )
 
+    def test_keep_constants_profile_is_refused(self, log_file, tmp_path):
+        # Every consumer of a stored profile (/score, /ingest, /drift,
+        # panes, `logr ingest`, `logr score`) encodes statements with
+        # constants removed, so a constants-kept codebook would flag
+        # every one of the profile's own statements.
+        out = tmp_path / "s.json"
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "compress", str(log_file), "-o", str(out),
+                    "--keep-constants", "--store", str(store),
+                    "--profile", "pocket",
+                ]
+            )
+        assert exc.value.code == (
+            "--keep-constants cannot be used with --store: every profile "
+            "consumer encodes statements with constants removed"
+        )
+        assert not out.exists()
+        assert not store.exists()
+
+    def test_keep_constants_without_store_still_compresses(
+        self, log_file, tmp_path
+    ):
+        out = tmp_path / "s.json"
+        rc = main(
+            ["compress", str(log_file), "-o", str(out), "--keep-constants"]
+        )
+        assert rc == 0
+        assert json.loads(out.read_text())["format"] == "logr-compressed-v2"
+
     def test_score_against_store(self, store_with_profile, log_file, capsys):
         rc = main(
             [
@@ -227,7 +259,7 @@ class TestParallelCompress:
         payloads = {}
         for name, extra in {
             "serial": [],
-            "process": ["--jobs", "2", "--executor", "process"],
+            "process": ["--jobs", "2"],
         }.items():
             out = tmp_path / f"{name}.json"
             rc = main(
@@ -244,7 +276,7 @@ class TestParallelCompress:
         rc = main(
             [
                 "compress", str(log_file), "-o", str(out), "-k", "2",
-                "--shards", "2", "--jobs", "2", "--executor", "process",
+                "--shards", "2", "--jobs", "2",
             ]
         )
         assert rc == 0
@@ -267,6 +299,41 @@ class TestParallelCompress:
         ours.pop("build_seconds"); theirs.pop("build_seconds")
         assert ours == theirs
 
+    def test_single_threaded_cli_keeps_platform_start_method(
+        self, log_file, tmp_path
+    ):
+        # Only a pool made while other threads run pays for spawn; the
+        # CLI runs one thread, so `--jobs 2` keeps the platform default.
+        # A fresh interpreter makes sure no thread left by another test
+        # is alive.
+        script = "\n".join(
+            [
+                "import sys",
+                "from concurrent.futures import ProcessPoolExecutor",
+                "from repro.core import executor",
+                "contexts = []",
+                "class RecordingPool(ProcessPoolExecutor):",
+                "    def __init__(self, *args, mp_context=None, **kwargs):",
+                "        contexts.append(mp_context)",
+                "        super().__init__(*args, mp_context=mp_context, **kwargs)",
+                "executor.ProcessPoolExecutor = RecordingPool",
+                "from repro.cli import main",
+                "main(sys.argv[1:])",
+                "print(contexts)",
+            ]
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [
+                sys.executable, "-c", script, "compress", str(log_file),
+                "-o", str(tmp_path / "out.json"), "-k", "4", "--jobs", "2",
+            ],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[None]"
+
     def test_consolidate_requires_shards(self, log_file, tmp_path):
         with pytest.raises(SystemExit):
             main(
@@ -283,7 +350,7 @@ class TestSweepCommand:
         rc = main(
             [
                 "sweep", str(log_file), "--ks", "1,2,4", "-o", str(out),
-                "--jobs", "2", "--executor", "thread",
+                "--jobs", "2",
             ]
         )
         assert rc == 0
