@@ -41,6 +41,7 @@ import json
 import sys
 from pathlib import Path
 
+from .cluster import METHODS, METRICS, check_strategy
 from .core.compress import (
     LogRCompressor,
     compress_sharded,
@@ -279,9 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_compression_arguments(parser: argparse.ArgumentParser) -> None:
     """The compression knobs shared by ``compress`` and ``sweep``."""
     parser.add_argument("log", type=Path, help="one-statement-per-line SQL file")
-    parser.add_argument("--method", default="kmeans",
-                        choices=["kmeans", "spectral", "hierarchical"])
-    parser.add_argument("--metric", default="euclidean")
+    parser.add_argument("--method", default="kmeans", choices=METHODS)
+    parser.add_argument(
+        "--metric", default="euclidean", choices=list(METRICS),
+        help="distance measure; kmeans takes only euclidean",
+    )
     parser.add_argument("--keep-constants", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
 
@@ -354,7 +357,16 @@ def _run_traced(handler, args, trace_out: Path) -> int:
     return code
 
 
+def _check_strategy(args) -> None:
+    """Refuse an unsupported --method/--metric pair before the log is read."""
+    try:
+        check_strategy(args.method, args.metric)
+    except ValueError as exc:
+        raise SystemExit(f"logr {args.command}: {exc}") from None
+
+
 def _cmd_compress(args) -> int:
+    _check_strategy(args)
     if (args.store is None) != (args.profile is None):
         raise SystemExit("--store and --profile must be given together")
     if args.shards < 1:
@@ -427,6 +439,7 @@ def _cmd_sweep(args) -> int:
         raise SystemExit(f"--ks needs comma-separated ints, got {args.ks!r}")
     if not ks or any(k < 1 for k in ks):
         raise SystemExit("--ks needs at least one K >= 1")
+    _check_strategy(args)
     statements = read_log(args.log)
     log, report = load_log(statements, remove_constants=not args.keep_constants)
     points = compress_sweep(

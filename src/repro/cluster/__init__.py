@@ -18,7 +18,7 @@ from .distance import (
 )
 from .hierarchical import AgglomerativeClustering, Dendrogram, hierarchical_fit
 from .kmeans import KMeans, KMeansResult, kmeans_fit
-from .pipeline import PAPER_STRATEGIES, ClusterSpec, cluster_vectors
+from .pipeline import METHODS, PAPER_STRATEGIES, check_strategy, cluster_vectors
 from .spectral import SpectralClustering, SpectralResult, spectral_fit
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "Dendrogram",
     "hierarchical_fit",
     "cluster_vectors",
-    "ClusterSpec",
+    "check_strategy",
+    "METHODS",
     "PAPER_STRATEGIES",
 ]

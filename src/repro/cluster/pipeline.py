@@ -1,9 +1,10 @@
 """Unified entry point for partitioning feature-vector matrices.
 
 `cluster_vectors` dispatches to the KMeans / spectral / hierarchical
-implementations behind one signature so that the LogR compressor and
-the Figure-2 benchmark can sweep methods uniformly.  The method names
-match the four strategies evaluated in §6.1:
+implementations behind one signature, so that ``LogRCompressor``,
+mixture consolidation and the Figure-2 benchmark sweep methods
+uniformly.  The method names match the four strategies evaluated in
+§6.1:
 
 * ``("kmeans", "euclidean")`` — KMeans with l2 (the paper's fastest),
 * ``("spectral", "manhattan")``,
@@ -11,20 +12,25 @@ match the four strategies evaluated in §6.1:
 * ``("spectral", "hamming")`` — the paper's best Error/runtime tradeoff,
 
 plus ``("hierarchical", <metric>)`` for the monotonic alternative.
+`check_strategy` is the one rule for which (method, metric) pairs are
+supported; `cluster_vectors` and ``LogRCompressor`` both check it up
+front.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .._rng import ensure_rng
+from .distance import METRICS
 from .hierarchical import AgglomerativeClustering
 from .kmeans import KMeans
 from .spectral import SpectralClustering
 
-__all__ = ["cluster_vectors", "ClusterSpec", "PAPER_STRATEGIES"]
+__all__ = ["cluster_vectors", "check_strategy", "METHODS", "PAPER_STRATEGIES"]
+
+#: The clustering methods :func:`cluster_vectors` dispatches to.
+METHODS = ("kmeans", "spectral", "hierarchical")
 
 #: The four (method, metric) pairs compared in Figure 2.
 PAPER_STRATEGIES = (
@@ -35,43 +41,21 @@ PAPER_STRATEGIES = (
 )
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    """A picklable clustering recipe (the §6.1 strategy knobs).
+def check_strategy(method: str, metric: str) -> None:
+    """Raise ``ValueError`` unless (*method*, *metric*) can cluster.
 
-    Captures everything :func:`cluster_vectors` needs *except* the data,
-    K, and randomness, so compression stages and shard workers can ship
-    one value object across process boundaries instead of loose keyword
-    tails.  ``labels_for`` is the spec applied: randomness enters as a
-    caller-provided seed/generator, keeping the spec itself stateless
-    (the executor-layer determinism contract).
+    Spectral and hierarchical clustering take any metric of
+    :data:`repro.cluster.distance.METRICS`; k-means takes only
+    ``euclidean``.
     """
-
-    method: str = "kmeans"
-    metric: str = "euclidean"
-    n_init: int = 10
-    p: float = 4.0
-    linkage: str = "average"
-
-    def labels_for(
-        self,
-        X: np.ndarray,
-        n_clusters: int,
-        sample_weight: np.ndarray | None = None,
-        seed: int | np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Partition rows of ``X`` under this spec (see ``cluster_vectors``)."""
-        return cluster_vectors(
-            X,
-            n_clusters,
-            method=self.method,
-            metric=self.metric,
-            sample_weight=sample_weight,
-            p=self.p,
-            linkage=self.linkage,
-            n_init=self.n_init,
-            seed=seed,
+    if method not in METHODS:
+        raise ValueError(f"unknown clustering method {method!r}")
+    if metric not in METRICS:
+        raise ValueError(
+            f"unknown metric {metric!r} (choose from {', '.join(METRICS)})"
         )
+    if method == "kmeans" and metric != "euclidean":
+        raise ValueError("kmeans supports only the euclidean metric")
 
 
 def cluster_vectors(
@@ -90,8 +74,11 @@ def cluster_vectors(
     Returns an integer label array of shape ``(len(X),)``.  Labels are
     contiguous starting from zero but a cluster may be empty when the
     algorithm converges degenerately; callers that need non-empty
-    partitions should compact labels.
+    partitions should compact labels.  An unsupported strategy raises
+    ``ValueError`` (see :func:`check_strategy`), even when K or the row
+    count makes clustering trivial.
     """
+    check_strategy(method, metric)
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if n == 0:
@@ -101,13 +88,9 @@ def cluster_vectors(
         return np.zeros(n, dtype=int)
     rng = ensure_rng(seed)
     if method == "kmeans":
-        if metric != "euclidean":
-            raise ValueError("kmeans supports only the euclidean metric")
         return KMeans(k, n_init=n_init, seed=rng).fit(X, sample_weight).labels
     if method == "spectral":
         model = SpectralClustering(k, metric=metric, p=p, n_init=n_init, seed=rng)
         return model.fit(X, sample_weight).labels
-    if method == "hierarchical":
-        dendrogram = AgglomerativeClustering(linkage, metric, p).fit(X)
-        return dendrogram.cut(k)
-    raise ValueError(f"unknown clustering method {method!r}")
+    dendrogram = AgglomerativeClustering(linkage, metric, p).fit(X)
+    return dendrogram.cut(k)

@@ -16,13 +16,6 @@ from .executor import (
     executor_for,
     spawn_generators,
 )
-from .pipeline import (
-    CompressionPipeline,
-    FitStage,
-    PartitionStage,
-    PipelineResult,
-    RefineStage,
-)
 from .diff import (
     FeatureDrift,
     blended_marginals,
@@ -147,11 +140,6 @@ __all__ = [
     "ProcessExecutor",
     "executor_for",
     "spawn_generators",
-    "CompressionPipeline",
-    "PartitionStage",
-    "FitStage",
-    "RefineStage",
-    "PipelineResult",
     "lossless_encoding",
     "point_probability_from_marginals",
     "reconstruct_distribution",

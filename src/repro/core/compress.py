@@ -1,15 +1,16 @@
 """The LogR compressor: the paper's top-level contribution (§6).
 
 ``LogRCompressor`` turns a :class:`repro.core.log.QueryLog` into a
-:class:`CompressedLog` by running the staged pipeline of
-:mod:`repro.core.pipeline`:
+:class:`CompressedLog` in three steps, each traced as a
+``pipeline.<step>`` span:
 
 1. **Partition** — cluster the log's distinct queries (weighted by
    multiplicity) with a configurable method/metric (§6.1 —
    KMeans+Euclidean is the fast default, Spectral+Hamming the best
    Error/runtime tradeoff),
 2. **Fit** — one naive encoding per partition (the *naive mixture
-   encoding*), fanned out across partitions, and
+   encoding*), one :func:`~repro.core.mixture.fit_component` task per
+   partition, and
 3. **Refine** — optionally add high-``corr_rank`` patterns per
    partition (§6.4 — off by default because the gain is small and
    refined encodings no longer admit closed-form statistics).
@@ -23,14 +24,16 @@ larger K gives higher fidelity (lower Error) at higher Verbosity.
 parallel); ``compress_to_error`` grows K until a target Error is met
 (speculative parallel doubling); ``compress_sharded`` splits a huge log
 into shards, compresses them in worker processes, and merges the
-mixtures — the path for logs too big for one clustering pass.
+mixtures — the path for logs too big for one clustering pass.  All
+three ship a ``LogRCompressor`` per task, seeded with its own
+pre-spawned child generator.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Hashable, Iterable, Sequence
 
@@ -38,12 +41,16 @@ import numpy as np
 
 from .._clock import Stopwatch
 from .._rng import ensure_rng
+from ..cluster import check_strategy, cluster_vectors
+from ..obs import metrics as _metrics
+from ..obs.trace import span as _span
 from .colstore import ColumnarLog
-from .executor import Executor, executor_for, spawn_generators
+from .encoding import PatternEncoding
+from .executor import executor_for, spawn_generators
 from .log import QueryLog
-from .mixture import PatternMixtureEncoding
+from .mixture import PatternMixtureEncoding, fit_component
 from .pattern import Pattern
-from .pipeline import CompressionPipeline, FitStage, PartitionStage, RefineStage
+from .refine import refine_greedy
 
 __all__ = [
     "LogRCompressor",
@@ -54,6 +61,18 @@ __all__ = [
     "compress_sharded",
     "load_artifact",
 ]
+
+# Telemetry only (see repro.obs): step timings feed the histogram and
+# the thread-local trace, never the computation.
+_STAGE_SECONDS = _metrics.histogram(
+    "logr_pipeline_stage_seconds",
+    "Wall seconds per compression pipeline stage.",
+    labelnames=("stage",),
+)
+_PIPELINE_RUNS = _metrics.counter(
+    "logr_pipeline_runs_total",
+    "Completed LogRCompressor.compress calls.",
+)
 
 
 @dataclass
@@ -237,20 +256,26 @@ def _labels_from_payload(payload: Any) -> np.ndarray:
 
 
 class LogRCompressor:
-    """Configurable LogR compression pipeline.
+    """Configurable LogR compression: partition → fit → refine.
 
     Args:
         n_clusters: K, the fidelity/verbosity knob.
         method: ``kmeans`` | ``spectral`` | ``hierarchical``.
-        metric: distance measure for spectral/hierarchical (§6.1).
+        metric: distance measure, a name from
+            :data:`repro.cluster.distance.METRICS` (k-means takes only
+            ``euclidean``; see :func:`repro.cluster.check_strategy`).
         n_init: restarts for the clustering step.
-        refine_patterns: per-cluster non-naive patterns to add (§6.4).
-        min_support / max_pattern_size: Apriori bounds for refinement.
-        jobs: worker count for the partition-parallel Fit/Refine
-            stages; 1 (the default) runs the serial reference loop,
+        refine_patterns: per-cluster non-naive patterns to add (§6.4),
+            mined with :func:`repro.core.refine.refine_greedy`'s
+            default Apriori bounds.
+        jobs: worker count for the partition-parallel fit and refine
+            steps; 1 (the default) runs the serial reference loop,
             more runs a pool of worker processes for each ``compress``
             call.  Results are bit-identical either way.
         seed: RNG seed or generator.
+
+    An unsupported strategy or a negative ``refine_patterns`` raises
+    ``ValueError`` here, whatever K is.
     """
 
     def __init__(
@@ -260,8 +285,6 @@ class LogRCompressor:
         metric: str = "euclidean",
         n_init: int = 10,
         refine_patterns: int = 0,
-        min_support: float = 0.05,
-        max_pattern_size: int = 3,
         jobs: int = 1,
         seed: int | np.random.Generator | None = None,
     ) -> None:
@@ -269,50 +292,71 @@ class LogRCompressor:
             raise ValueError("n_clusters must be >= 1")
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        check_strategy(method, metric)
+        if refine_patterns < 0:
+            raise ValueError("refine_patterns must be >= 0")
         self.n_clusters = n_clusters
         self.method = method
         self.metric = metric
         self.n_init = n_init
         self.refine_patterns = refine_patterns
-        self.min_support = min_support
-        self.max_pattern_size = max_pattern_size
         self.jobs = jobs
         self._rng = ensure_rng(seed)
-
-    def pipeline(self, executor: Executor) -> CompressionPipeline:
-        """The staged pipeline this compressor's parameters describe."""
-        return CompressionPipeline(
-            partition=PartitionStage(
-                self.n_clusters, self.method, self.metric, self.n_init
-            ),
-            fit=FitStage(),
-            refine=RefineStage(
-                self.refine_patterns, self.min_support, self.max_pattern_size
-            ),
-            executor=executor,
-        )
 
     def compress(self, log: QueryLog) -> CompressedLog:
         """Compress *log* into a pattern mixture encoding."""
         watch = Stopwatch()
         with executor_for(self.jobs) as executor:
-            result = self.pipeline(executor).run(log, self._rng)
-        elapsed = watch.elapsed()
+            with _span("pipeline.partition", n_clusters=self.n_clusters):
+                labels = self.partition_labels(log)
+            _STAGE_SECONDS.observe(watch.lap(), stage="partition")
+            with _span("pipeline.fit", executor=executor.kind):
+                partitions = log.partition(labels)
+                mixture = PatternMixtureEncoding(
+                    executor.map(fit_component, partitions), log.vocabulary
+                )
+            _STAGE_SECONDS.observe(watch.lap(), stage="fit")
+            with _span("pipeline.refine", executor=executor.kind):
+                if self.refine_patterns > 0:
+                    tasks = [(part, self.refine_patterns) for part in partitions]
+                    extras = executor.map(_refine_task, tasks)
+                    for component, extra in zip(mixture.components, extras):
+                        component.extra = extra
+            _STAGE_SECONDS.observe(watch.lap(), stage="refine")
+            _PIPELINE_RUNS.inc()
         return CompressedLog(
-            mixture=result.mixture,
-            labels=result.labels,
+            mixture=mixture,
+            labels=labels,
             n_clusters=self.n_clusters,
             method=self.method,
             metric=self.metric,
-            build_seconds=elapsed,
+            build_seconds=watch.elapsed(),
             refined_patterns=self.refine_patterns,
         )
 
     def partition_labels(self, log: QueryLog) -> np.ndarray:
-        """Cluster the distinct rows of *log* (multiplicity-weighted)."""
-        return PartitionStage(
-            self.n_clusters, self.method, self.metric, self.n_init
-        ).run(log, self._rng)
+        """Cluster the distinct rows of *log* (multiplicity-weighted).
+
+        K=1 and one-row logs skip clustering (all labels 0) and leave
+        the generator untouched.
+        """
+        if self.n_clusters == 1 or log.n_distinct == 1:
+            return np.zeros(log.n_distinct, dtype=int)
+        return cluster_vectors(
+            log.matrix.astype(float),
+            self.n_clusters,
+            method=self.method,
+            metric=self.metric,
+            sample_weight=log.counts.astype(float),
+            n_init=self.n_init,
+            seed=self._rng,
+        )
+
+
+def _refine_task(payload: tuple[QueryLog, int]) -> PatternEncoding:
+    """One partition's §6.4 refinement; module-level for process pools."""
+    partition, n_patterns = payload
+    return refine_greedy(partition, n_patterns).extra
 
 
 @dataclass
@@ -325,38 +369,18 @@ class SweepPoint:
     seconds: float
 
 
-@dataclass(frozen=True)
-class _CompressorSpec:
-    """Picklable LogRCompressor recipe shipped to worker processes.
+def _compress_task(payload: tuple[LogRCompressor, QueryLog]) -> CompressedLog:
+    """One candidate compression; module-level for process executors.
 
-    ``rng`` rides along as a pre-spawned generator (NumPy generators
-    pickle by state), so a worker's stream depends only on the task,
-    never on the worker.
+    The compressor carries its pre-spawned child generator (NumPy
+    generators pickle by state), so a worker's stream depends only on
+    the task, never on the worker.
     """
-
-    n_clusters: int
-    method: str
-    metric: str
-    n_init: int
-    rng: np.random.Generator = field(compare=False)
-
-    def build(self) -> LogRCompressor:
-        return LogRCompressor(
-            n_clusters=self.n_clusters,
-            method=self.method,
-            metric=self.metric,
-            n_init=self.n_init,
-            seed=self.rng,
-        )
+    compressor, log = payload
+    return compressor.compress(log)
 
 
-def _compress_task(payload: tuple[_CompressorSpec, QueryLog]) -> CompressedLog:
-    """One candidate compression; module-level for process executors."""
-    spec, log = payload
-    return spec.build().compress(log)
-
-
-def _sweep_task(payload: tuple[_CompressorSpec, QueryLog]) -> SweepPoint:
+def _sweep_task(payload: tuple[LogRCompressor, QueryLog]) -> SweepPoint:
     """One sweep candidate, reduced to its measurement point.
 
     Returning the :class:`SweepPoint` (not the artifact) keeps the
@@ -399,10 +423,7 @@ def compress_sweep(
     ks = list(ks)
     children = spawn_generators(seed, len(ks))
     tasks = [
-        (
-            _CompressorSpec(k, method, metric, n_init, child),
-            log,
-        )
+        (LogRCompressor(k, method, metric, n_init, seed=child), log)
         for k, child in zip(ks, children)
     ]
     with executor_for(jobs) as runner:
@@ -449,7 +470,9 @@ def compress_to_error(
             chunk = rungs[lo : lo + jobs]
             tasks = [
                 (
-                    _CompressorSpec(rung, method, metric, n_init, _fresh_child(seed)),
+                    LogRCompressor(
+                        rung, method, metric, n_init, seed=_fresh_child(seed)
+                    ),
                     log,
                 )
                 for rung in chunk
@@ -487,7 +510,7 @@ class _ColumnarShard:
 
 
 def _shard_task(
-    payload: tuple[_CompressorSpec, "QueryLog | _ColumnarShard"]
+    payload: tuple[LogRCompressor, "QueryLog | _ColumnarShard"]
 ) -> tuple[PatternMixtureEncoding, np.ndarray]:
     """Compress one shard; returns its mixture and normalized labels.
 
@@ -498,9 +521,9 @@ def _shard_task(
     as a :class:`_ColumnarShard` reference loaded in the worker; the
     two yield identical rows, so the results are bit-identical.
     """
-    spec, source = payload
+    compressor, source = payload
     log = source.load() if isinstance(source, _ColumnarShard) else source
-    compressed = _compress_task((spec, log))
+    compressed = compressor.compress(log)
     _, normalized = np.unique(
         np.asarray(compressed.labels, dtype=np.int64), return_inverse=True
     )
@@ -563,9 +586,9 @@ def compress_sharded(
     ]
     children = spawn_generators(seed, len(chunks))
     consolidation_rng = _fresh_child(seed) if consolidate_to is not None else None
-    tasks: list[tuple[_CompressorSpec, QueryLog | _ColumnarShard]] = [
+    tasks: list[tuple[LogRCompressor, QueryLog | _ColumnarShard]] = [
         (
-            _CompressorSpec(n_clusters, method, metric, n_init, child),
+            LogRCompressor(n_clusters, method, metric, n_init, seed=child),
             _ColumnarShard(str(log.path), int(chunk[0]), int(chunk[-1]) + 1)
             if isinstance(log, ColumnarLog)
             else log.subset(chunk),

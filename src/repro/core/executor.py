@@ -1,6 +1,7 @@
-"""Serial and process-pool execution for the staged compression pipeline.
+"""Serial and process-pool execution for LogR compression.
 
-The paper's §6 pipeline is embarrassingly parallel across partitions,
+The paper's §6 compressor is embarrassingly parallel across partitions
+(``LogRCompressor.compress`` maps its fit and refine steps over them),
 across K candidates of a sweep, and across shards of a huge log — but
 only if the parallelism is *deterministic*: results must be
 bit-identical to the serial loop at any worker count, or parallel runs
@@ -115,7 +116,7 @@ class SerialExecutor(Executor):
 
 
 class ProcessExecutor(Executor):
-    """Process-pool backend: true parallelism for Python-heavy stages.
+    """Process-pool backend: true parallelism for Python-heavy steps.
 
     Task functions must be module-level (picklable by reference) and
     payloads picklable by value — the spawn-safety contract.  The pool
@@ -185,7 +186,7 @@ def spawn_generators(
     The per-task semantics match ``compress_to_error``'s documented
     ``_fresh_child`` spawning: with an integer (or ``None``) seed every
     task gets an *identically seeded* fresh generator, so task *i* is
-    bit-identical to running its stage alone with ``seed=seed``; with a
+    bit-identical to running its compressor alone with ``seed=seed``; with a
     ``Generator`` the children are spawned off it in task order
     (``seed.spawn(n)``), giving independent streams that depend only on
     the generator's state and the task index.  Either way the result is

@@ -15,10 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
-
-if TYPE_CHECKING:  # import only for annotations: executor is a consumer too
-    from .executor import Executor
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,12 +31,13 @@ __all__ = ["MixtureComponent", "PatternMixtureEncoding", "fit_component"]
 def fit_component(partition: QueryLog) -> MixtureComponent:
     """Naive-fit one partition into its mixture component (§5.1).
 
-    The per-partition half of :meth:`PatternMixtureEncoding.
-    from_partitions`, split out as a module-level function so executors
-    can ship it to worker processes (picklable by reference, with the
-    partition as a picklable payload).  Pure and deterministic: the
+    The fit step of ``LogRCompressor.compress``, which maps it over the
+    partitions through its executor; a module-level function so a
+    process pool can ship it to workers (picklable by reference, with
+    the partition as a picklable payload).  Pure and deterministic: the
     component depends only on the partition's rows and counts, so
-    fitting partitions in parallel is bit-identical to the serial loop.
+    fitting partitions in parallel is bit-identical to the serial loop
+    in :meth:`PatternMixtureEncoding.from_partitions`.
     """
     return MixtureComponent(
         size=partition.total,
@@ -121,30 +119,11 @@ class PatternMixtureEncoding:
         cls,
         partitions: Sequence[QueryLog],
         vocabulary: Vocabulary | None = None,
-        executor: "Executor | None" = None,
     ) -> "PatternMixtureEncoding":
-        """Naive mixture encoding of pre-partitioned logs (§5.1).
-
-        The per-partition fits are independent (:func:`fit_component`),
-        so an optional :class:`repro.core.executor.Executor` can run
-        them concurrently — order-preserving ``map`` keeps the result
-        bit-identical to the serial loop.
-        """
-        if executor is not None:
-            components = executor.map(fit_component, list(partitions))
-        else:
-            components = [fit_component(part) for part in partitions]
+        """Naive mixture encoding of pre-partitioned logs (§5.1)."""
+        components = [fit_component(part) for part in partitions]
         vocab = vocabulary or (partitions[0].vocabulary if partitions else None)
         return cls(components, vocab)
-
-    @classmethod
-    def from_components(
-        cls,
-        components: Sequence[MixtureComponent],
-        vocabulary: Vocabulary | None = None,
-    ) -> "PatternMixtureEncoding":
-        """The merge half of the fit/merge split: wrap fitted components."""
-        return cls(list(components), vocabulary)
 
     @classmethod
     def from_log(cls, log: QueryLog) -> "PatternMixtureEncoding":
@@ -242,12 +221,18 @@ class PatternMixtureEncoding:
                 raise TypeError("consolidation requires unrefined components")
         if n_clusters >= self.n_components:
             return self, np.arange(self.n_components, dtype=np.int64)
-        from ..cluster import ClusterSpec  # local: cluster is a consumer too
+        from ..cluster import cluster_vectors  # local: cluster is a consumer too
 
         matrix = np.stack([c.encoding.marginals for c in self.components])
         sizes = np.array([c.size for c in self.components], dtype=float)
-        raw = ClusterSpec(method=method, metric=metric, n_init=n_init).labels_for(
-            matrix, n_clusters, sample_weight=sizes, seed=seed
+        raw = cluster_vectors(
+            matrix,
+            n_clusters,
+            method=method,
+            metric=metric,
+            sample_weight=sizes,
+            n_init=n_init,
+            seed=seed,
         )
         _, assignment = np.unique(np.asarray(raw, dtype=np.int64), return_inverse=True)
         assignment = assignment.astype(np.int64)

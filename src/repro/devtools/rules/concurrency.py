@@ -43,8 +43,10 @@ class SpawnUnsafeCallable(Rule):
     inside another function, or a bound instance method (``self.fn``)
     either fails to pickle outright or drags the whole enclosing object
     graph across the process boundary.  Only module-level functions
-    (plus picklable payload tuples) are spawn-safe — which is exactly
-    how every pipeline stage ships its work today.
+    (plus picklable payload tuples) are spawn-safe — which is how
+    ``LogRCompressor.compress`` ships ``fit_component`` and
+    ``_refine_task``, and how the sweep, ladder and shard entry points
+    ship a ``LogRCompressor`` per task.
 
     The check flags a callable argument to ``*.map`` / ``*.submit``
     (and the other pool entry points) that is provably unsafe: a

@@ -50,7 +50,13 @@ from typing import Any, Sequence
 
 from .._clock import Stopwatch
 from ..obs.textfmt import CONTENT_TYPE as _METRICS_CONTENT_TYPE
-from .server import AnalyticsService, _body_length, _Refused, _require
+from .server import (
+    AnalyticsService,
+    _body_length,
+    _Refused,
+    _require,
+    _require_statements,
+)
 from .store import StoreError, SummaryStore
 
 __all__ = ["AsyncAnalyticsServer", "serve_async"]
@@ -565,11 +571,10 @@ class AsyncAnalyticsServer(AnalyticsService):
     async def _handle_score_async(self, body: dict[str, Any]) -> _Response:
         """POST /score — enqueue on the micro-batcher and await the sweep."""
         try:
-            name, statements = _require(body, "profile", "statements")
+            (name,) = _require(body, "profile")
+            statements = _require_statements(body)
         except ValueError as exc:
             return _Response(400, {"error": str(exc)})
-        if not isinstance(statements, list):
-            return _Response(400, {"error": "'statements' must be a list"})
         return await self._batcher.submit(str(name), statements)
 
     async def _handle_ingest_async(self, body: dict[str, Any]) -> _Response:

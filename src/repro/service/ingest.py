@@ -175,33 +175,10 @@ class IncrementalIngestor:
         )
         self._matrix = log.matrix.copy()
         self._counts = log.counts.copy()
-        # Normalize labels to 0..k-1 in component order: QueryLog.partition
-        # drops empty clusters, so raw label values need not be contiguous
-        # but their sorted-unique order matches the component order.
-        unique, normalized = np.unique(
-            np.asarray(compressed.labels, dtype=np.int64), return_inverse=True
-        )
-        if len(unique) != mixture.n_components:
-            raise ValueError(
-                f"artifact has {mixture.n_components} components but "
-                f"{len(unique)} distinct labels"
-            )
-        self._labels = normalized.astype(np.int64)
         self._row_index = {
             _row_key(row): position for position, row in enumerate(self._matrix)
         }
-        # Per-partition running sums for exact incremental entropy:
-        # H_i = log2(N_i) - S_i / N_i with S_i = sum(c * log2(c)).
-        k = mixture.n_components
-        self._sizes = np.zeros(k, dtype=np.int64)
-        self._clog = np.zeros(k, dtype=float)
-        counts = self._counts.astype(float)
-        contributions = counts * np.log2(counts)
-        for i in range(k):
-            mask = self._labels == i
-            self._sizes[i] = int(self._counts[mask].sum())
-            self._clog[i] = float(contributions[mask].sum())
-        self.baseline_error = compressed.error
+        self._reset_partitions()
 
     @classmethod
     def from_log(
@@ -461,11 +438,31 @@ class IncrementalIngestor:
         _INGEST_RECOMPRESSIONS.inc()
         with _span("ingest.recompress", staleness=self.staleness):
             self.compressed = compressor.compress(self.log)
-        _, normalized = np.unique(
+        self._reset_partitions()
+        return self.compressed
+
+    def _reset_partitions(self) -> None:
+        """Re-derive the per-partition state of ``self.compressed``.
+
+        Labels are normalized to 0..k-1 in component order:
+        ``QueryLog.partition`` drops empty clusters, so raw label values
+        need not be contiguous, but their sorted-unique order matches
+        the component order.  The running sums behind exact incremental
+        entropy, ``H_i = log2(N_i) - S_i / N_i`` with
+        ``S_i = sum(c * log2(c))``, restart from the current counts, and
+        staleness restarts at zero.
+        """
+        mixture = self.compressed.mixture
+        unique, normalized = np.unique(
             np.asarray(self.compressed.labels, dtype=np.int64), return_inverse=True
         )
+        if len(unique) != mixture.n_components:
+            raise ValueError(
+                f"artifact has {mixture.n_components} components but "
+                f"{len(unique)} distinct labels"
+            )
         self._labels = normalized.astype(np.int64)
-        k = self.compressed.mixture.n_components
+        k = mixture.n_components
         self._sizes = np.zeros(k, dtype=np.int64)
         self._clog = np.zeros(k, dtype=float)
         counts = self._counts.astype(float)
@@ -475,7 +472,6 @@ class IncrementalIngestor:
             self._sizes[i] = int(self._counts[mask].sum())
             self._clog[i] = float(contributions[mask].sum())
         self.baseline_error = self.compressed.error
-        return self.compressed
 
 
 def _clog_term(count: int) -> float:

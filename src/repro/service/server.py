@@ -481,7 +481,8 @@ class AnalyticsService:
 
     def handle_score(self, body: dict) -> dict:
         """POST /score — batched likelihood scoring."""
-        name, statements = _require(body, "profile", "statements")
+        (name,) = _require(body, "profile")
+        statements = _require_statements(body)
         handle = self._profile(name)
         monitor = handle.monitor  # atomic snapshot read: no lock
         version, threshold = handle.version, monitor.threshold
@@ -540,7 +541,8 @@ class AnalyticsService:
 
     def handle_ingest(self, body: dict) -> dict:
         """POST /ingest — merge a mini-batch, persist, republish."""
-        name, statements = _require(body, "profile", "statements")
+        (name,) = _require(body, "profile")
+        statements = _require_statements(body)
         persist = bool(body.get("persist", True))
         while True:
             handle = self._profile(name)
@@ -600,7 +602,8 @@ class AnalyticsService:
 
     def handle_drift(self, body: dict) -> dict:
         """POST /drift — batch divergence plus windowed stream reports."""
-        name, statements = _require(body, "profile", "statements")
+        (name,) = _require(body, "profile")
+        statements = _require_statements(body)
         window_size = int(body.get("window_size", DEFAULT_WINDOW_SIZE))
         threshold = body.get("threshold")
         threshold = None if threshold is None else float(threshold)
@@ -660,6 +663,7 @@ class AnalyticsService:
         window's* workload when ``statements`` are given.
         """
         (name,) = _require(body, "profile")
+        statements = _require_statements(body) if "statements" in body else None
         windowed, _ = self._windowed(name)
         last = body.get("last")
         panes = body.get("panes")
@@ -686,7 +690,6 @@ class AnalyticsService:
             "error_bits": _json_float(composite.error()),
             "verbosity": composite.total_verbosity,
         }
-        statements = body.get("statements")
         if statements is not None:
             monitor = WorkloadMonitor(composite, threshold=float("-inf"))
             response["scores"] = [
@@ -830,6 +833,16 @@ def _require(body: dict, *keys: str):
             raise ValueError(f"request body is missing {key!r}")
         values.append(body[key])
     return values
+
+
+def _require_statements(body: dict) -> list[str]:
+    """The body's ``statements``: present, and a JSON list of strings."""
+    (statements,) = _require(body, "statements")
+    if not isinstance(statements, list) or not all(
+        isinstance(statement, str) for statement in statements
+    ):
+        raise ValueError("'statements' must be a list of strings")
+    return statements
 
 
 #: Request bodies above this many bytes are refused unread (413) by

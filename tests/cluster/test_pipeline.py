@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.cluster.pipeline import PAPER_STRATEGIES, cluster_vectors
+from repro.cluster.distance import METRICS
+from repro.cluster.pipeline import (
+    METHODS,
+    PAPER_STRATEGIES,
+    check_strategy,
+    cluster_vectors,
+)
 
 
 def blobs():
@@ -39,6 +45,11 @@ class TestDispatcher:
         with pytest.raises(ValueError):
             cluster_vectors(blobs(), 2, method="dbscan")
 
+    def test_strategy_checked_even_at_k1(self):
+        for method, metric in (("kmeans", "hamming"), ("spectral", "bogus")):
+            with pytest.raises(ValueError):
+                cluster_vectors(blobs(), 1, method=method, metric=metric)
+
     def test_empty_input(self):
         with pytest.raises(ValueError):
             cluster_vectors(np.zeros((0, 3)), 2)
@@ -49,3 +60,24 @@ class TestDispatcher:
         weights[0] = 100.0
         labels = cluster_vectors(X, 2, sample_weight=weights, seed=0, n_init=3)
         assert labels.shape == (40,)
+
+
+class TestCheckStrategy:
+    def test_every_non_kmeans_pair_is_supported(self):
+        for method in METHODS:
+            for metric in METRICS:
+                if method != "kmeans":
+                    check_strategy(method, metric)
+        check_strategy("kmeans", "euclidean")
+
+    @pytest.mark.parametrize(
+        "method,metric,message",
+        [
+            ("dbscan", "euclidean", "unknown clustering method"),
+            ("spectral", "bogus", "unknown metric"),
+            ("kmeans", "manhattan", "only the euclidean metric"),
+        ],
+    )
+    def test_unsupported_pairs_name_the_problem(self, method, metric, message):
+        with pytest.raises(ValueError, match=message):
+            check_strategy(method, metric)

@@ -5,10 +5,39 @@ import pytest
 
 from repro.core.compress import (
     LogRCompressor,
+    compress_sharded,
     compress_sweep,
     compress_to_error,
 )
 from repro.core.pattern import Pattern
+
+
+class TestStrategyValidation:
+    """Unsupported strategies fail at construction, even when K=1 would
+    never reach the clustering step."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"method": "dbscan"},
+            {"metric": "bogus"},
+            {"method": "spectral", "metric": "bogus"},
+            {"method": "kmeans", "metric": "hamming"},
+            {"refine_patterns": -1},
+        ],
+        ids=["method", "metric", "spectral-metric", "kmeans-hamming", "refine"],
+    )
+    def test_refused_at_k1(self, kwargs):
+        with pytest.raises(ValueError):
+            LogRCompressor(n_clusters=1, **kwargs)
+
+    def test_entry_points_refuse_before_compressing(self, example4_log):
+        with pytest.raises(ValueError):
+            compress_sweep(example4_log, [1], metric="bogus")
+        with pytest.raises(ValueError):
+            compress_to_error(example4_log, 1e9, metric="bogus")
+        with pytest.raises(ValueError):
+            compress_sharded(example4_log, n_shards=1, n_clusters=1, metric="bogus")
 
 
 class TestCompressor:
@@ -55,7 +84,7 @@ class TestCompressor:
 
     def test_refinement_runs(self, example4_log):
         compressed = LogRCompressor(
-            n_clusters=1, refine_patterns=1, min_support=0.2
+            n_clusters=1, refine_patterns=1
         ).compress(example4_log)
         assert compressed.refined_patterns == 1
         # refined error no worse than the plain naive encoding

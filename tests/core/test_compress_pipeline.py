@@ -1,4 +1,4 @@
-"""Staged-pipeline and parallel-determinism tests.
+"""Compressor-step and parallel-determinism tests.
 
 The executor contract (repro.core.executor) promises that compress(),
 compress_sweep(), compress_to_error(), and compress_sharded() are
@@ -15,14 +15,8 @@ from repro.core.compress import (
     compress_sweep,
     compress_to_error,
 )
-from repro.core.executor import SerialExecutor
 from repro.core.mixture import PatternMixtureEncoding
-from repro.core.pipeline import (
-    CompressionPipeline,
-    FitStage,
-    PartitionStage,
-    RefineStage,
-)
+from repro.obs import metrics
 
 #: The property-test grid: the serial loop and process pools of 2 and 4.
 PARALLEL_GRID = [
@@ -44,48 +38,37 @@ def _artifact_key(compressed):
     )
 
 
-class TestStages:
-    def test_partition_stage_matches_compressor(self, small_pocketdata_log):
-        stage_labels = PartitionStage(4, "kmeans", "euclidean", n_init=3).run(
-            small_pocketdata_log, np.random.default_rng(0)
+class TestCompressorSteps:
+    def test_single_cluster_shortcut_labels_all_zero(self, example4_log):
+        compressed = LogRCompressor(n_clusters=1, seed=0).compress(example4_log)
+        assert np.array_equal(
+            compressed.labels, np.zeros(example4_log.n_distinct)
         )
-        compressor_labels = LogRCompressor(
-            n_clusters=4, n_init=3, seed=0
-        ).partition_labels(small_pocketdata_log)
-        assert np.array_equal(stage_labels, compressor_labels)
+        assert compressed.mixture.n_components == 1
 
-    def test_partition_stage_single_cluster_shortcut(self, example4_log):
-        labels = PartitionStage(1).run(example4_log, np.random.default_rng(0))
-        assert np.array_equal(labels, np.zeros(example4_log.n_distinct))
+    def test_refine_off_leaves_extras_unset(self, small_pocketdata_log):
+        compressed = LogRCompressor(
+            n_clusters=3, n_init=2, refine_patterns=0, seed=0
+        ).compress(small_pocketdata_log)
+        assert compressed.refined_patterns == 0
+        assert all(c.extra is None for c in compressed.mixture.components)
 
-    def test_fit_stage_matches_from_partitions(self, small_pocketdata_log):
-        labels = np.arange(small_pocketdata_log.n_distinct) % 3
-        partitions, mixture = FitStage().run(
-            small_pocketdata_log, labels, SerialExecutor()
+    def test_compress_observes_each_step_once(self, small_pocketdata_log):
+        stage_seconds = metrics.histogram(
+            "logr_pipeline_stage_seconds", labelnames=("stage",)
         )
-        reference = PatternMixtureEncoding.from_partitions(
-            small_pocketdata_log.partition(labels),
-            small_pocketdata_log.vocabulary,
+        runs = metrics.counter("logr_pipeline_runs_total")
+        steps = ("partition", "fit", "refine")
+        before = {step: stage_seconds.count(stage=step) for step in steps}
+        runs_before = runs.value()
+        LogRCompressor(n_clusters=3, n_init=2, seed=0).compress(
+            small_pocketdata_log
         )
-        assert len(partitions) == 3
-        assert mixture.error() == reference.error()
-        assert mixture.total_verbosity == reference.total_verbosity
-
-    def test_refine_stage_noop_without_patterns(self, example4_log):
-        labels = np.zeros(example4_log.n_distinct, dtype=int)
-        partitions, mixture = FitStage().run(
-            example4_log, labels, SerialExecutor()
-        )
-        refined = RefineStage(0).run(partitions, mixture, SerialExecutor())
-        assert all(c.extra is None for c in refined.components)
-
-    def test_pipeline_records_stage_timings(self, small_pocketdata_log):
-        pipeline = CompressionPipeline(partition=PartitionStage(3, n_init=2))
-        result = pipeline.run(small_pocketdata_log, np.random.default_rng(0))
-        assert set(result.timings) == {"partition", "fit", "refine"}
-        assert all(seconds >= 0 for seconds in result.timings.values())
-        assert result.total_seconds == sum(result.timings.values())
-        assert result.mixture.n_components == len(result.partitions)
+        assert {
+            step: stage_seconds.count(stage=step) - before[step]
+            for step in steps
+        } == {step: 1 for step in steps}
+        assert runs.value() == runs_before + 1
 
 
 class TestCompressDeterminism:

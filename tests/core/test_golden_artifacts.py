@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.compress import CompressedLog, load_artifact
+from repro.core.compress import CompressedLog, LogRCompressor, load_artifact
 from repro.core.pattern import Pattern
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -41,6 +41,15 @@ class TestV2Artifact:
         text = (FIXTURES / "artifact_v2.json").read_text(encoding="utf-8")
         artifact = load_artifact(FIXTURES / "artifact_v2.json")
         assert artifact.to_json() == text
+
+    def test_fresh_compression_matches_fixture(self, example2_log):
+        """Compressing the toy log today writes the fixture's bytes."""
+        compressed = LogRCompressor(n_clusters=2, seed=0, n_init=2).compress(
+            example2_log
+        )
+        compressed.build_seconds = 0.25
+        text = (FIXTURES / "artifact_v2.json").read_text(encoding="utf-8")
+        assert compressed.to_json() == text
 
     def test_semantics_pinned(self):
         artifact = load_artifact(FIXTURES / "artifact_v2.json")

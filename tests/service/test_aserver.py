@@ -173,6 +173,35 @@ class TestBatchedScoringBitIdentity:
             assert (a_status, a_body) == (t_status, t_body)
 
 
+class TestMalformedStatements:
+    """A ``statements`` that is not a JSON list of strings gets one 400.
+
+    Iterating a string would treat each character as a statement, and a
+    non-string item would reach the parser; every endpoint on both
+    transports must refuse it alike, and ``/ingest`` must write nothing.
+    """
+
+    @pytest.mark.parametrize("path", ["/score", "/ingest", "/drift", "/window"])
+    @pytest.mark.parametrize(
+        "statements", ["SELECT 1", [1], None], ids=["string", "int-list", "null"]
+    )
+    def test_refused_alike_on_both_transports(
+        self, transports, path, statements
+    ):
+        threaded, batched = transports
+        store = threaded.store
+        before = store.latest("tpch").version
+        body = {"profile": "tpch", "statements": statements}
+        t_status, t_body, _ = _post_raw(threaded.url, path, body)
+        a_status, a_body, _ = _post_raw(batched.url, path, body)
+        assert t_status == 400, t_body
+        assert (a_status, a_body) == (t_status, t_body)
+        assert json.loads(t_body) == {
+            "error": "'statements' must be a list of strings"
+        }
+        assert store.latest("tpch").version == before
+
+
 def _exchange(server, raw: bytes) -> tuple[int, dict[str, str], bytes, bytes]:
     """Send raw request bytes and read until the server closes.
 

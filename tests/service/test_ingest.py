@@ -142,7 +142,7 @@ class TestStaleness:
     def test_rejects_refined_mixture(self, profile):
         workload, log, _ = profile
         refined = LogRCompressor(
-            n_clusters=2, refine_patterns=1, min_support=0.2, seed=0, n_init=2
+            n_clusters=2, refine_patterns=1, seed=0, n_init=2
         ).compress(log)
         with pytest.raises(ValueError):
             IncrementalIngestor(refined, log)

@@ -273,7 +273,7 @@ class TestIngestEndpoint:
         workload = generate_tpch(total=500, variants_per_template=4, seed=1)
         log = workload.to_query_log()
         refined = LogRCompressor(
-            n_clusters=2, refine_patterns=1, min_support=0.2, seed=0, n_init=2
+            n_clusters=2, refine_patterns=1, seed=0, n_init=2
         ).compress(log)
         store.save("refined", refined, log)
         statements = list(workload.statements())[:10]

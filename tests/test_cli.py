@@ -95,6 +95,54 @@ class TestEmptyLog:
         ]
 
 
+class TestStrategyChecks:
+    """An unsupported --method/--metric pair is refused before the log is read."""
+
+    @pytest.mark.parametrize("command", ["compress", "sweep"])
+    def test_kmeans_with_another_metric_exits_with_one_line(
+        self, tmp_path, command
+    ):
+        missing = tmp_path / "never-read.sql"  # reading it would raise
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(missing), "-o", str(out), "--metric", "hamming"])
+        assert exc.value.code == (
+            f"logr {command}: kmeans supports only the euclidean metric"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compress", "sweep"])
+    def test_unknown_metric_is_an_argparse_error(
+        self, tmp_path, command, capsys
+    ):
+        missing = tmp_path / "never-read.sql"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    command, str(missing), "-o", str(tmp_path / "out.json"),
+                    "--method", "spectral", "--metric", "bogus",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_process_exits_one_without_traceback(self, tmp_path):
+        missing = tmp_path / "never-read.sql"
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "compress", str(missing),
+                "-o", str(tmp_path / "out.json"), "--metric", "hamming",
+            ],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "logr compress: kmeans supports only the euclidean metric"
+        ]
+
+
 class TestStats:
     def test_stats_output(self, log_file, capsys):
         rc = main(["stats", str(log_file)])
