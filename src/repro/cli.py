@@ -159,24 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
              "thread per connection) or 'async' (asyncio event loop with "
              "/score micro-batching and backpressure)",
     )
-    serve.add_argument(
-        "--batch-window-ms", type=float, default=1.0,
-        help="[async] micro-batching window: how long the first /score "
-             "request of a batch waits for concurrent company",
-    )
-    serve.add_argument(
-        "--max-batch", type=_positive_int, default=64,
-        help="[async] /score requests coalesced per sweep before an "
-             "early flush",
-    )
-    serve.add_argument(
-        "--max-queue", type=_positive_int, default=64,
-        help="[async] bounded ingest queue; overflow is shed with 429",
-    )
-    serve.add_argument(
-        "--request-timeout", type=float, default=30.0,
-        help="[async] per-connection read timeout in seconds",
-    )
     serve.add_argument("--cache-profiles", type=int, default=8)
     serve.add_argument(
         "--staleness-threshold", type=float, default=0.5,
@@ -558,14 +540,7 @@ def _cmd_serve(args) -> int:
     )
     server: AnalyticsServer | AsyncAnalyticsServer
     if args.server_backend == "async":
-        server = AsyncAnalyticsServer(
-            SummaryStore(args.store),
-            batch_window_ms=args.batch_window_ms,
-            max_batch=args.max_batch,
-            max_queue=args.max_queue,
-            request_timeout=args.request_timeout,
-            **common,
-        )
+        server = AsyncAnalyticsServer(SummaryStore(args.store), **common)
         # The asyncio transport binds on start; serve_forever below is
         # idempotent on a started server and just blocks until shutdown.
         server.start()

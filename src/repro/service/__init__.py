@@ -15,10 +15,10 @@ the endpoint core that two transports — the threaded
 to either.
 """
 
-from .aserver import AsyncAnalyticsServer, serve_async
+from .aserver import AsyncAnalyticsServer
 from .client import AnalyticsClient, ServiceError
 from .ingest import IncrementalIngestor, IngestReport
-from .server import AnalyticsServer, AnalyticsService, serve
+from .server import AnalyticsServer, AnalyticsService
 from .store import PaneSegment, ProfileVersion, StoreError, SummaryStore
 from .windows import WindowedProfile
 
@@ -33,8 +33,6 @@ __all__ = [
     "AnalyticsService",
     "AnalyticsServer",
     "AsyncAnalyticsServer",
-    "serve",
-    "serve_async",
     "AnalyticsClient",
     "ServiceError",
 ]

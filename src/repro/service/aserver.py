@@ -7,17 +7,20 @@ GIL-bound mixture evaluation.  This front end replaces that with a
 single stdlib-``asyncio`` event loop that:
 
 * **micro-batches** concurrent ``/score`` requests — requests for the
-  same profile arriving within a ~1 ms window are coalesced into ONE
+  same profile arriving within a ~1 ms window
+  (:data:`DEFAULT_BATCH_WINDOW_MS`, early flush at
+  :data:`DEFAULT_MAX_BATCH`) are coalesced into ONE
   vectorized :meth:`~repro.apps.monitor.WorkloadMonitor.score_batch`
   call against the lock-free profile snapshot, with results fanned
   back out per request.  ``score_batch`` scores every statement
   row-independently, so each response is bit-identical to the scalar
   (threaded) path — asserted by property tests and the
   ``bench_serve.py`` byte-identity gate;
-* applies **admission control** — a bounded ingest queue (overflow is
-  shed with ``429`` + ``Retry-After``), the request-body size limit
-  both transports share (``413``), and per-connection read timeouts —
-  so overload degrades by shedding, not by collapse;
+* applies **admission control** — a bounded ingest queue of
+  :data:`DEFAULT_MAX_QUEUE` (overflow is shed with ``429`` +
+  ``Retry-After``), the request-body size limit both transports share
+  (``413``), and per-connection read timeouts — so overload degrades
+  by shedding, not by collapse;
 * keeps the event loop non-blocking — every sync handler (store I/O,
   ingest merges, staleness-triggered recompression and cold pane
   consolidation) is dispatched to an *owned*, bounded
@@ -25,41 +28,43 @@ single stdlib-``asyncio`` event loop that:
   default executor is unbounded relative to the admission queue and
   never shut down;
 * **drains gracefully** on shutdown — the listener closes first (new
-  connections refused), in-flight requests complete, pending score
-  batches flush.
+  connections refused), idle keep-alive connections close at once,
+  in-flight requests complete and pending score batches flush.
 
 Everything is instrumented on :mod:`repro.obs` and scraped through the
 same ``GET /metrics``: ``logr_serve_batch_size`` (requests coalesced
 per flush), ``logr_serve_queue_depth`` (pending ingest dispatches),
 ``logr_serve_shed_total`` (requests refused by admission control).
 
-Both transports dispatch into the same
-:class:`~repro.service.server.AnalyticsService` handlers, so JSON
-response bodies are byte-identical across backends.  Select with
+Routing, body decoding, the exception → status mapping and response
+encoding all live in the shared
+:class:`~repro.service.server.AnalyticsService` core; this module only
+moves bytes, batches ``/score`` and admits ``/ingest``, so responses
+are byte-identical across backends.  Select with
 ``logr serve --server-backend=async``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable
 
 from .._clock import Stopwatch
-from ..obs.textfmt import CONTENT_TYPE as _METRICS_CONTENT_TYPE
 from .server import (
     AnalyticsService,
     _body_length,
+    _decode_body,
+    _failure,
     _Refused,
-    _require,
+    _require_profile,
     _require_statements,
+    _Response,
 )
-from .store import StoreError, SummaryStore
+from .store import SummaryStore
 
-__all__ = ["AsyncAnalyticsServer", "serve_async"]
+__all__ = ["AsyncAnalyticsServer"]
 
 #: Micro-batching window: how long the first /score request of a flush
 #: waits for company before scoring runs (milliseconds).
@@ -89,54 +94,28 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-_JSON_CONTENT_TYPE = "application/json"
-
 
 class _Request:
-    """One parsed HTTP request (method, path, headers, raw body).
+    """One parsed HTTP request (method, path, raw body).
 
-    ``reject`` is ``(status, message)`` when the request must be refused
-    unread (malformed framing, oversized body): the response closes the
-    connection, since the stream position after the head is unknown.
+    ``refused`` is the response when the request must be refused unread
+    (malformed framing, oversized body); it closes the connection,
+    since the stream position after the head is unknown.
     """
 
-    __slots__ = ("method", "path", "headers", "body", "reject")
+    __slots__ = ("method", "path", "body", "refused")
 
     def __init__(
         self,
         method: str,
         path: str,
-        headers: dict[str, str],
         body: bytes,
-        reject: tuple[int, str] | None = None,
+        refused: _Response | None = None,
     ) -> None:
         self.method = method
         self.path = path
-        self.headers = headers
         self.body = body
-        self.reject = reject
-
-
-class _Response:
-    """One response ready to serialize: status, payload, extra headers."""
-
-    __slots__ = ("status", "body", "content_type", "headers")
-
-    def __init__(
-        self,
-        status: int,
-        payload: dict[str, Any] | str,
-        headers: Sequence[tuple[str, str]] = (),
-    ) -> None:
-        self.status = status
-        if isinstance(payload, str):
-            self.body = payload.encode("utf-8")
-            self.content_type = _METRICS_CONTENT_TYPE
-        else:
-            # Byte-for-byte the threaded transport's `_send` encoding.
-            self.body = json.dumps(payload).encode("utf-8")
-            self.content_type = _JSON_CONTENT_TYPE
-        self.headers = tuple(headers)
+        self.refused = refused
 
 
 class _ScoreBatcher:
@@ -170,7 +149,7 @@ class _ScoreBatcher:
             self._timers[profile] = loop.call_later(
                 self._server.batch_window_s, self._flush_now, profile
             )
-        elif len(bucket) >= self._server.max_batch:
+        elif len(bucket) >= DEFAULT_MAX_BATCH:
             self._flush_now(profile)
         return future
 
@@ -202,14 +181,8 @@ class _ScoreBatcher:
                 [statements for statements, _ in batch],
             )
             responses = [_Response(200, payload) for payload in payloads]
-        except StoreError as exc:
-            responses = [_Response(404, {"error": str(exc)})] * len(batch)
-        except (ValueError, KeyError, TypeError) as exc:
-            responses = [_Response(400, {"error": str(exc)})] * len(batch)
-        except Exception as exc:  # pragma: no cover - defensive
-            responses = [
-                _Response(500, {"error": f"{type(exc).__name__}: {exc}"})
-            ] * len(batch)
+        except Exception as exc:
+            responses = [_failure(exc)] * len(batch)
         for (_, future), response in zip(batch, responses):
             if not future.done():
                 future.set_result(response)
@@ -228,18 +201,14 @@ class AsyncAnalyticsServer(AnalyticsService):
     Same JSON protocol, URL surface, and response bytes as the threaded
     :class:`~repro.service.server.AnalyticsServer`; the differences are
     operational — request micro-batching on ``/score``, admission
-    control, and graceful drain (see the module docstring).
+    control, and graceful drain (see the module docstring).  The
+    batch window and the ingest queue bound start at their module
+    constants; ``batch_window_s`` and ``max_queue`` may be set on the
+    instance before :meth:`start`.
 
     Args:
         store: the profile store to serve (shared, thread-safe).
         host / port: bind address; port 0 picks a free port.
-        batch_window_ms: how long the first /score request of a batch
-            waits for concurrent company before the sweep runs.
-        max_batch: requests coalesced per sweep before an early flush.
-        max_queue: bounded ingest queue — pending /ingest dispatches
-            beyond this are shed with ``429`` + ``Retry-After``.
-        request_timeout: per-connection read timeout in seconds.
-        drain_timeout: how long shutdown waits for in-flight requests.
         **kwargs: forwarded to :class:`AnalyticsService`.
     """
 
@@ -248,21 +217,13 @@ class AsyncAnalyticsServer(AnalyticsService):
         store: SummaryStore,
         host: str = "127.0.0.1",
         port: int = 0,
-        batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        max_queue: int = DEFAULT_MAX_QUEUE,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-        drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
         **kwargs: Any,
     ) -> None:
         super().__init__(store, **kwargs)
         self._host = host
         self._port = port
-        self.batch_window_s = batch_window_ms / 1000.0
-        self.max_batch = max_batch
-        self.max_queue = max_queue
-        self.request_timeout = request_timeout
-        self.drain_timeout = drain_timeout
+        self.batch_window_s = DEFAULT_BATCH_WINDOW_MS / 1000.0
+        self.max_queue = DEFAULT_MAX_QUEUE
         # Serving telemetry, scraped through the shared /metrics.
         self._batch_size = self.registry.histogram(
             "logr_serve_batch_size",
@@ -291,12 +252,16 @@ class AsyncAnalyticsServer(AnalyticsService):
         # queue (plus headroom for score flushes and GET handlers) and
         # shut it down during drain.
         self._handler_pool = ThreadPoolExecutor(
-            max_workers=min(32, max_queue + 4),
+            max_workers=min(32, DEFAULT_MAX_QUEUE + 4),
             thread_name_prefix="logr-aserve-handler",
         )
         # Event-loop-thread state (no locks: single-threaded loop).
         self._ingest_pending = 0
         self._connections: set["asyncio.Task[None]"] = set()
+        # Writers of connections waiting for their next request head:
+        # drain closes them at once instead of waiting out the read
+        # timeout, and their head read ends at EOF.
+        self._idle: set[asyncio.StreamWriter] = set()
         self._draining = False
         # Cross-thread lifecycle plumbing.
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -353,7 +318,7 @@ class AsyncAnalyticsServer(AnalyticsService):
             except RuntimeError:  # loop already closed
                 pass
         if self._thread is not None:
-            self._thread.join(timeout=self.drain_timeout + 5)
+            self._thread.join(timeout=DEFAULT_DRAIN_TIMEOUT + 5)
             self._thread = None
 
     def __enter__(self) -> "AsyncAnalyticsServer":
@@ -393,17 +358,20 @@ class AsyncAnalyticsServer(AnalyticsService):
                 await asyncio.sleep(0.05)
         finally:
             # Drain order: stop accepting first (new connections are
-            # refused at the socket), then let in-flight work finish.
+            # refused at the socket), close idle keep-alive connections,
+            # then let in-flight work finish.
             self._draining = True
             server.close()
-            await server.wait_closed()
+            for writer in self._idle:
+                writer.close()
             await self._batcher.drain()
             current = asyncio.current_task()
             pending = {
                 task for task in self._connections if task is not current
             }
             if pending:
-                await asyncio.wait(pending, timeout=self.drain_timeout)
+                await asyncio.wait(pending, timeout=DEFAULT_DRAIN_TIMEOUT)
+            await server.wait_closed()
             # Last: stop the handler threads (everything above already
             # completed or timed out).
             self._handler_pool.shutdown(wait=True)
@@ -418,12 +386,11 @@ class AsyncAnalyticsServer(AnalyticsService):
         assert task is not None
         self._connections.add(task)
         try:
-            while True:
-                request = await self._read_request(reader)
+            while not self._draining:
+                request = await self._read_request(reader, writer)
                 if request is None:
                     break
-                keep_alive = await self._respond(request, writer)
-                if not keep_alive or self._draining:
+                if not await self._respond(request, writer):
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request
@@ -436,17 +403,19 @@ class AsyncAnalyticsServer(AnalyticsService):
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> _Request | None:
         """Parse one HTTP/1.1 request; ``None`` on EOF/timeout/garbage.
 
         The whole request head comes in through ONE ``readuntil`` (one
         timeout timer per request, not one per header line) — this is a
-        hot path at thousands of requests per second.
+        hot path at thousands of requests per second.  While it waits
+        for the head, the connection counts as idle.
         """
+        self._idle.add(writer)
         try:
             head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), self.request_timeout
+                reader.readuntil(b"\r\n\r\n"), DEFAULT_REQUEST_TIMEOUT
             )
         except (
             asyncio.TimeoutError,
@@ -454,131 +423,82 @@ class AsyncAnalyticsServer(AnalyticsService):
             asyncio.LimitOverrunError,
         ):
             return None
+        finally:
+            self._idle.discard(writer)
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split()
         if len(parts) != 3:
             return None
         method, path, _version = parts
-        headers: dict[str, str] = {}
+        transfer_encoding = False
         lengths: list[str] = []
         for line in lines[1:]:
-            if not line:
-                continue
             name, _, value = line.partition(":")
             name = name.strip().lower()
-            headers[name] = value.strip()
             if name == "content-length":
                 lengths.append(value)
+            transfer_encoding |= name == "transfer-encoding"
         try:
-            length = _body_length(lengths, "transfer-encoding" in headers)
+            length = _body_length(lengths, transfer_encoding)
         except _Refused as refused:
             # Refuse without reading the body (the response closes the
             # connection, discarding the rest).
-            reject = (refused.status, str(refused))
-            return _Request(method, path, headers, b"", reject)
+            return _Request(method, path, b"", refused.response)
         body = b""
         if length:
             try:
                 body = await asyncio.wait_for(
-                    reader.readexactly(length), self.request_timeout
+                    reader.readexactly(length), DEFAULT_REQUEST_TIMEOUT
                 )
             except asyncio.TimeoutError:
                 return None
-        return _Request(method, path, headers, body)
+        return _Request(method, path, body)
 
     async def _respond(
         self, request: _Request, writer: asyncio.StreamWriter
     ) -> bool:
-        """Dispatch one request and write the response; returns keep-alive."""
+        """Answer one request and write the response; returns keep-alive."""
         watch = Stopwatch()
         endpoint: str | None = None
-        keep_alive = not self._draining
-        if request.reject is not None:
-            status, message = request.reject
-            response = _Response(status, {"error": message})
-            keep_alive = False  # unread body bytes may still be on the wire
+        if request.refused is not None:
+            response = request.refused
         else:
             endpoint, response = await self._route(request)
-        if response.status == 429:
-            keep_alive = False
+        keep_alive = not (response.close or self._draining)
         await self._write_response(writer, response, keep_alive)
         if endpoint is not None:
             self.observe_request(endpoint, watch.elapsed())
         return keep_alive
 
     async def _route(self, request: _Request) -> tuple[str | None, _Response]:
-        """Map one request onto the shared handlers (threaded parity)."""
-        path = request.path.rstrip("/")
-        if request.method == "GET":
-            if path == "/profiles" or path == "":
-                return "profiles", await self._dispatch(self.handle_profiles)
-            if path.startswith("/profiles/"):
-                name = path[len("/profiles/"):]
-                return (
-                    "profile_detail",
-                    await self._dispatch(self.handle_profile_detail, name),
-                )
-            if path == "/stats":
-                return "stats", await self._dispatch(self.handle_stats)
-            if path == "/metrics":
-                return "metrics", await self._dispatch(self.render_metrics)
-            return None, _Response(
-                404, {"error": f"unknown endpoint {request.path!r}"}
-            )
-        if request.method != "POST":
-            return None, _Response(
-                404, {"error": f"unknown endpoint {request.path!r}"}
-            )
-        sync_routes = {
-            "/drift": self.handle_drift,
-            "/window": self.handle_window,
-            "/timeline": self.handle_timeline,
-        }
-        if path not in ("/score", "/ingest") and path not in sync_routes:
-            return None, _Response(
-                404, {"error": f"unknown endpoint {request.path!r}"}
-            )
-        try:
-            payload = json.loads(request.body.decode("utf-8") or "{}")
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
-        except (ValueError, json.JSONDecodeError) as exc:
-            return None, _Response(400, {"error": f"bad request body: {exc}"})
-        endpoint = path.lstrip("/")
-        if path == "/score":
-            return endpoint, await self._handle_score_async(payload)
-        if path == "/ingest":
-            return endpoint, await self._handle_ingest_async(payload)
-        return endpoint, await self._dispatch(sync_routes[path], payload)
+        """Answer one request through the shared core.
 
-    async def _dispatch(self, fn: Any, *args: Any) -> _Response:
-        """Run a sync handler in the executor; map exceptions to statuses.
-
-        The exception → status mapping mirrors the threaded transport's
-        ``_dispatch`` exactly, so error bodies match byte-for-byte.
+        ``/score`` joins the micro-batcher and ``/ingest`` passes
+        admission control; every other answer runs on the handler pool.
         """
+        endpoint, answer = self.route(request.method, request.path)
+        if endpoint == "score":
+            return endpoint, await self._score_async(request.body)
+        if endpoint == "ingest":
+            return endpoint, await self._ingest_async(answer, request.body)
         loop = asyncio.get_running_loop()
-        try:
-            payload = await loop.run_in_executor(self._handler_pool, fn, *args)
-            return _Response(200, payload)
-        except StoreError as exc:
-            return _Response(404, {"error": str(exc)})
-        except (ValueError, KeyError, TypeError) as exc:
-            return _Response(400, {"error": str(exc)})
-        except Exception as exc:  # pragma: no cover - defensive
-            return _Response(500, {"error": f"{type(exc).__name__}: {exc}"})
+        return endpoint, await loop.run_in_executor(
+            self._handler_pool, answer, request.body
+        )
 
-    async def _handle_score_async(self, body: dict[str, Any]) -> _Response:
-        """POST /score — enqueue on the micro-batcher and await the sweep."""
+    async def _score_async(self, raw: bytes) -> _Response:
+        """POST /score — decode, then enqueue on the micro-batcher."""
         try:
-            (name,) = _require(body, "profile")
-            statements = _require_statements(body)
+            body = _decode_body(raw)
+            name, statements = _require_profile(body), _require_statements(body)
         except ValueError as exc:
-            return _Response(400, {"error": str(exc)})
-        return await self._batcher.submit(str(name), statements)
+            return _failure(exc)
+        return await self._batcher.submit(name, statements)
 
-    async def _handle_ingest_async(self, body: dict[str, Any]) -> _Response:
-        """POST /ingest — bounded admission queue, then executor dispatch."""
+    async def _ingest_async(
+        self, answer: Callable[[bytes], _Response], raw: bytes
+    ) -> _Response:
+        """POST /ingest — bounded admission queue, then the handler pool."""
         if self._ingest_pending >= self.max_queue:
             self._shed.inc(endpoint="ingest")
             return _Response(
@@ -590,11 +510,13 @@ class AsyncAnalyticsServer(AnalyticsService):
                     )
                 },
                 headers=(("Retry-After", "1"),),
+                close=True,
             )
         self._ingest_pending += 1
         self._queue_depth.set(float(self._ingest_pending), endpoint="ingest")
+        loop = asyncio.get_running_loop()
         try:
-            return await self._dispatch(self.handle_ingest, body)
+            return await loop.run_in_executor(self._handler_pool, answer, raw)
         finally:
             self._ingest_pending -= 1
             self._queue_depth.set(
@@ -625,15 +547,3 @@ class AsyncAnalyticsServer(AnalyticsService):
             "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + response.body
         )
         await writer.drain()
-
-
-def serve_async(
-    store_root: str | Path,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    **kwargs: Any,
-) -> AsyncAnalyticsServer:
-    """An :class:`AsyncAnalyticsServer` over *store_root* (not started)."""
-    return AsyncAnalyticsServer(
-        SummaryStore(store_root), host=host, port=port, **kwargs
-    )

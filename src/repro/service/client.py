@@ -188,17 +188,11 @@ class AnalyticsClient:
             "/score", {"profile": profile, "statements": list(statements)}
         )
 
-    def ingest(
-        self, profile: str, statements: Sequence[str], persist: bool = True
-    ) -> dict:
-        """Merge a mini-batch into *profile*; returns the ingest report."""
+    def ingest(self, profile: str, statements: Sequence[str]) -> dict:
+        """Merge a mini-batch into *profile* as a new stored version;
+        returns the ingest report."""
         return self._request(
-            "/ingest",
-            {
-                "profile": profile,
-                "statements": list(statements),
-                "persist": persist,
-            },
+            "/ingest", {"profile": profile, "statements": list(statements)}
         )
 
     def window(

@@ -6,17 +6,20 @@ and statistics queries while traffic keeps arriving.  Pure stdlib, two
 transports over one endpoint core:
 
 * :class:`AnalyticsService` — the transport-independent core: profile
-  cache, endpoint handlers (JSON dict in, JSON-ready dict out), and
-  the per-instance metrics registry;
-* :class:`AnalyticsServer` (this module) — the original
+  cache, endpoint handlers (JSON dict in, JSON-ready dict out), the
+  per-instance metrics registry, and the request core —
+  :meth:`~AnalyticsService.route` (one table), one POST-body decoder,
+  one exception → status mapping and one :class:`_Response` encoder;
+* :class:`AnalyticsServer` (this module) — the
   :class:`http.server.ThreadingHTTPServer` transport, thread per
   connection;
 * :class:`repro.service.aserver.AsyncAnalyticsServer` — the asyncio
   front end with request micro-batching and backpressure, selected
   via ``logr serve --server-backend=async``.
 
-Because both transports dispatch into the same handlers, their JSON
-response bodies are byte-identical for identical requests.
+Each transport only frames requests and writes the :class:`_Response`
+the core hands back, so both answer identical requests with identical
+status, ``Content-Type`` and body bytes.
 
 Endpoints::
 
@@ -25,7 +28,7 @@ Endpoints::
     GET  /stats                 server counters (requests, cache, uptime)
     GET  /metrics               Prometheus text exposition (repro.obs)
     POST /score    {"profile", "statements": [...]}
-    POST /ingest   {"profile", "statements": [...], "persist": bool}
+    POST /ingest   {"profile", "statements": [...]}
     POST /drift    {"profile", "statements": [...], "window_size", "threshold"}
     POST /window   {"profile", "last"|"panes", "half_life",
                     "consolidate_to", "statements": [...]}
@@ -40,7 +43,8 @@ Error/JS-drift series from the manifest; neither endpoint reads raw
 statements.  When the server is constructed with ``pane_statements``,
 ``/ingest`` additionally routes each batch into the profile's windowed
 panes (splitting at pane boundaries), growing the timeline as traffic
-arrives.
+arrives.  Every ``/ingest`` stores a new profile version before it
+answers, so each ``version`` a response names is a stored one.
 
 Concurrency model — hot profiles live in an LRU cache as
 :class:`_Profile` handles.  Each handle separates the *live* state (an
@@ -62,7 +66,7 @@ import threading
 import time
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -81,10 +85,26 @@ from .ingest import IncrementalIngestor
 from .store import StoreError, SummaryStore
 from .windows import WindowedProfile
 
-__all__ = ["AnalyticsService", "AnalyticsServer", "serve"]
+__all__ = ["AnalyticsService", "AnalyticsServer"]
 
 #: Default drift window, matching ``StreamingDriftMonitor``.
 DEFAULT_WINDOW_SIZE = 500
+
+#: The URL surface, ``(method, path) -> (endpoint, handler name)``;
+#: ``GET /profiles/<name>`` is the one parameterized route.  Names, not
+#: functions: :meth:`AnalyticsService.route` looks each handler up on
+#: the instance per request, so overrides and class patches apply.
+_ROUTES: dict[tuple[str, str], tuple[str, str]] = {
+    ("GET", ""): ("profiles", "handle_profiles"),
+    ("GET", "/profiles"): ("profiles", "handle_profiles"),
+    ("GET", "/stats"): ("stats", "handle_stats"),
+    ("GET", "/metrics"): ("metrics", "render_metrics"),
+    ("POST", "/score"): ("score", "handle_score"),
+    ("POST", "/ingest"): ("ingest", "handle_ingest"),
+    ("POST", "/drift"): ("drift", "handle_drift"),
+    ("POST", "/window"): ("window", "handle_window"),
+    ("POST", "/timeline"): ("timeline", "handle_timeline"),
+}
 
 
 def _snapshot_mixture(mixture: PatternMixtureEncoding) -> PatternMixtureEncoding:
@@ -142,7 +162,6 @@ class _Profile:
                 self.ingestor = None
         self.state_log = log
         self.monitor = self._build_monitor(compressed, log)
-        self.dirty = False  # merged-but-unpersisted ingest state; guarded-by: lock
         self._drift: StreamingDriftMonitor | None = None  # guarded-by: lock
         self._drift_window = 0  # guarded-by: lock
         self._drift_threshold: float | None = None  # guarded-by: lock
@@ -199,12 +218,14 @@ class AnalyticsService:
     """Transport-independent endpoint core over a :class:`SummaryStore`.
 
     Owns the hot-profile cache, the windowed-pane handles, the
-    per-instance metrics registry, and every endpoint handler.  The
-    handlers speak JSON-ready dicts and raise for errors; a transport
-    (threaded :class:`AnalyticsServer` or the asyncio front end in
-    :mod:`repro.service.aserver`) maps them onto HTTP.  All handler
-    methods are thread-safe — the threaded transport calls them from
-    handler threads, the asyncio transport from executor threads.
+    per-instance metrics registry, every endpoint handler, and the
+    request core.  The handlers speak JSON-ready dicts and raise for
+    errors; :meth:`route` maps a request onto its handler and encodes
+    the outcome, so a transport (threaded :class:`AnalyticsServer` or
+    the asyncio front end in :mod:`repro.service.aserver`) only frames
+    requests and writes replies.  All handler methods are thread-safe —
+    the threaded transport calls them from handler threads, the asyncio
+    transport from executor threads.
 
     Args:
         store: the profile store to serve (shared, thread-safe).
@@ -309,41 +330,23 @@ class AnalyticsService:
             )
             with self._cache_lock:
                 self._cache[name] = handle
-                evict = self._pick_evictions()
-        for victim in evict:
-            self._retire(victim)
+                self._evict()
         return handle
 
-    def _pick_evictions(self) -> list[_Profile]:  # holds: _cache_lock
-        """Over-capacity LRU victims (caller holds the cache lock).
+    def _evict(self) -> None:  # holds: _cache_lock
+        """Drop over-capacity LRU handles (caller holds the cache lock).
 
-        A handle whose per-profile lock is currently held (an ingest in
+        Every ingest is already stored, so eviction only drops the
+        handle.  A handle whose per-profile lock is held (an ingest in
         flight) is skipped this round rather than yanked mid-mutation.
         """
-        victims: list[_Profile] = []
-        if len(self._cache) <= self.cache_profiles:
-            return victims
+        excess = len(self._cache) - self.cache_profiles
         for name in list(self._cache):
-            if len(self._cache) - len(victims) <= self.cache_profiles:
+            if excess <= 0:
                 break
-            handle = self._cache[name]
-            if handle.lock.locked():
-                continue
-            victims.append(handle)
-            del self._cache[name]
-        return victims
-
-    def _retire(self, handle: _Profile) -> None:
-        """Persist a victim's unpersisted ingest state before dropping it."""
-        with handle.lock:
-            if handle.dirty and handle.ingestor is not None:
-                self.store.save(
-                    handle.name,
-                    handle.ingestor.compressed,
-                    handle.ingestor.log,
-                    note="persisted on cache eviction",
-                )
-                handle.dirty = False
+            if not self._cache[name].lock.locked():
+                del self._cache[name]
+                excess -= 1
 
     def _windowed(self, name: str) -> tuple[WindowedProfile, threading.Lock]:
         """The windowed-pane handle (and its mutation lock) for *name*.
@@ -385,6 +388,46 @@ class AnalyticsService:
     def observe_request(self, endpoint: str, seconds: float) -> None:
         """Record one request's handling latency (telemetry only)."""
         self._latency.observe(seconds, endpoint=endpoint)
+
+    # ------------------------------------------------------------------
+    # request core (both transports answer through it)
+    # ------------------------------------------------------------------
+    def route(
+        self, method: str, path: str
+    ) -> tuple[str | None, Callable[[bytes], _Response]]:
+        """``(endpoint, answer)`` for one request line.
+
+        ``answer(raw_body)`` runs the endpoint's handler and encodes
+        the outcome: a POST handler gets the decoded body, a GET
+        handler ignores it.  An unknown route is ``(None, answer)``
+        answering 404; a method other than GET or POST also closes the
+        connection, since a HEAD client would not read the body.
+        """
+        key = path.rstrip("/")
+        args: tuple = ()
+        if method == "GET" and key.startswith("/profiles/"):
+            endpoint, attr = "profile_detail", "handle_profile_detail"
+            args = (key[len("/profiles/"):],)
+        elif (method, key) in _ROUTES:
+            endpoint, attr = _ROUTES[method, key]
+        else:
+            missing = _Response(
+                404,
+                {"error": f"unknown endpoint {path!r}"},
+                close=method not in ("GET", "POST"),
+            )
+            return None, lambda raw: missing
+        handler = getattr(self, attr)
+
+        def answer(raw: bytes) -> _Response:
+            try:
+                if method == "POST":
+                    return _Response(200, handler(_decode_body(raw)))
+                return _Response(200, handler(*args))
+            except Exception as exc:
+                return _failure(exc)
+
+        return endpoint, answer
 
     # ------------------------------------------------------------------
     # endpoint implementations (return JSON-ready dicts; raise for errors)
@@ -462,46 +505,22 @@ class AnalyticsService:
         snapshots = self.registry.snapshot() + _metrics.DEFAULT_REGISTRY.snapshot()
         return render_text(snapshots)
 
-    def _score_payload(self, name: str, version: int, threshold, scores) -> dict:
-        """One /score response body — shared by both serving transports
-        so batched and unbatched responses are byte-identical."""
-        return {
-            "profile": name,
-            "version": version,
-            "threshold": _json_float(threshold),
-            "scores": [
-                {
-                    "log2_likelihood": _json_float(s.log2_likelihood),
-                    "anomalous": s.anomalous,
-                    "reason": s.reason,
-                }
-                for s in scores
-            ],
-        }
-
     def handle_score(self, body: dict) -> dict:
-        """POST /score — batched likelihood scoring."""
-        (name,) = _require(body, "profile")
-        statements = _require_statements(body)
-        handle = self._profile(name)
-        monitor = handle.monitor  # atomic snapshot read: no lock
-        version, threshold = handle.version, monitor.threshold
-        scores = monitor.score_batch(statements)
-        self._count("score", queries=len(statements))
-        return self._score_payload(name, version, threshold, scores)
+        """POST /score — batched likelihood scoring (a sweep of one)."""
+        name, statements = _require_profile(body), _require_statements(body)
+        return self.score_coalesced(name, [statements])[0]
 
     def score_coalesced(self, name: str, batches: list[list[str]]) -> list[dict]:
         """Score several /score request batches in ONE vectorized sweep.
 
-        The asyncio front end's micro-batcher: concurrent requests for
-        the same profile are concatenated and scored by a single
-        :meth:`WorkloadMonitor.score_batch` call against one snapshot,
-        then fanned back out per request.  ``score_batch`` computes
-        every statement's likelihood row-independently (distinct
-        feature sets share one matrix row, scored once), so each
-        request's response is bit-identical to what
-        :meth:`handle_score` would have returned for it alone against
-        the same snapshot.
+        Concurrent requests for the same profile (the asyncio front
+        end's micro-batcher) are concatenated and scored by a single
+        :meth:`WorkloadMonitor.score_batch` call against one snapshot —
+        the atomic reference read, no lock — then fanned back out per
+        request.  ``score_batch`` computes every statement's likelihood
+        row-independently (distinct feature sets share one matrix row,
+        scored once), so each request's response is bit-identical to
+        scoring it alone against the same snapshot.
         """
         handle = self._profile(name)
         flat = [statement for batch in batches for statement in batch]
@@ -515,35 +534,39 @@ class AnalyticsService:
             offset += len(batch)
             self._count("score", queries=len(batch))
             responses.append(
-                self._score_payload(name, version, threshold, chunk)
+                {
+                    "profile": name,
+                    "version": version,
+                    "threshold": _json_float(threshold),
+                    "scores": [
+                        {
+                            "log2_likelihood": _json_float(s.log2_likelihood),
+                            "anomalous": s.anomalous,
+                            "reason": s.reason,
+                        }
+                        for s in chunk
+                    ],
+                }
             )
         return responses
 
     def _ingest_locked(
-        self, name: str, handle: "_Profile", statements: list, persist: bool
+        self, name: str, handle: "_Profile", statements: list
     ):  # holds: lock
-        """One ingest merge + persist + republish.  Caller holds handle.lock."""
+        """One ingest merge + store + republish.  Caller holds handle.lock."""
         report = handle.ingestor.ingest_statements(statements)
-        version = handle.version
-        if persist:
-            record = self.store.save(
-                name,
-                handle.ingestor.compressed,
-                handle.ingestor.log,
-                note=f"ingest {report.n_encoded} statements",
-            )
-            version = record.version
-            handle.dirty = False
-        else:
-            handle.dirty = True  # persisted later, on cache eviction
-        handle.publish(version)
-        return report, version
+        record = self.store.save(
+            name,
+            handle.ingestor.compressed,
+            handle.ingestor.log,
+            note=f"ingest {report.n_encoded} statements",
+        )
+        handle.publish(record.version)
+        return report, record.version
 
     def handle_ingest(self, body: dict) -> dict:
-        """POST /ingest — merge a mini-batch, persist, republish."""
-        (name,) = _require(body, "profile")
-        statements = _require_statements(body)
-        persist = bool(body.get("persist", True))
+        """POST /ingest — merge a mini-batch, store, republish."""
+        name, statements = _require_profile(body), _require_statements(body)
         while True:
             handle = self._profile(name)
             if handle.ingestor is None:
@@ -563,9 +586,7 @@ class AnalyticsService:
                 break
             handle.lock.release()
         try:
-            report, version = self._ingest_locked(
-                name, handle, statements, persist
-            )
+            report, version = self._ingest_locked(name, handle, statements)
         finally:
             handle.lock.release()
         panes_sealed: list[int] = []
@@ -582,7 +603,6 @@ class AnalyticsService:
         return {
             "profile": name,
             "version": version,
-            "persisted": persist,
             "panes_sealed": panes_sealed,
             "report": {
                 "n_statements": report.n_statements,
@@ -602,8 +622,7 @@ class AnalyticsService:
 
     def handle_drift(self, body: dict) -> dict:
         """POST /drift — batch divergence plus windowed stream reports."""
-        (name,) = _require(body, "profile")
-        statements = _require_statements(body)
+        name, statements = _require_profile(body), _require_statements(body)
         window_size = int(body.get("window_size", DEFAULT_WINDOW_SIZE))
         threshold = body.get("threshold")
         threshold = None if threshold is None else float(threshold)
@@ -662,7 +681,7 @@ class AnalyticsService:
         measures — plus per-statement log-likelihoods under *that
         window's* workload when ``statements`` are given.
         """
-        (name,) = _require(body, "profile")
+        name = _require_profile(body)
         statements = _require_statements(body) if "statements" in body else None
         windowed, _ = self._windowed(name)
         last = body.get("last")
@@ -710,7 +729,7 @@ class AnalyticsService:
         Pure manifest metadata: the queryable upgrade of the scalar
         drift alarm.  No segment file or raw statement is read.
         """
-        (name,) = _require(body, "profile")
+        name = _require_profile(body)
         windowed, _ = self._windowed(name)
         last = body.get("last")
         records = windowed.timeline(last=None if last is None else int(last))
@@ -751,9 +770,9 @@ class AnalyticsServer(AnalyticsService):
 
     The original serving front end: stdlib
     :class:`~http.server.ThreadingHTTPServer`, one daemon thread per
-    connection.  Retained as the fallback backend next to the asyncio
-    front end (:mod:`repro.service.aserver`); both speak the same JSON
-    protocol through the same handlers.
+    connection.  Retained as the default backend next to the asyncio
+    front end (:mod:`repro.service.aserver`); both answer through the
+    same request core.
 
     Args:
         store: the profile store to serve (shared, thread-safe).
@@ -826,23 +845,79 @@ class _Httpd(ThreadingHTTPServer):
     request_queue_size = 128
 
 
-def _require(body: dict, *keys: str):
-    values = []
-    for key in keys:
-        if key not in body:
-            raise ValueError(f"request body is missing {key!r}")
-        values.append(body[key])
-    return values
+def _require(body: dict, key: str) -> Any:
+    if key not in body:
+        raise ValueError(f"request body is missing {key!r}")
+    return body[key]
+
+
+def _require_profile(body: dict) -> str:
+    """The body's ``profile``: present, and a string."""
+    name = _require(body, "profile")
+    if not isinstance(name, str):
+        raise ValueError("'profile' must be a string")
+    return name
 
 
 def _require_statements(body: dict) -> list[str]:
     """The body's ``statements``: present, and a JSON list of strings."""
-    (statements,) = _require(body, "statements")
+    statements = _require(body, "statements")
     if not isinstance(statements, list) or not all(
         isinstance(statement, str) for statement in statements
     ):
         raise ValueError("'statements' must be a list of strings")
     return statements
+
+
+def _decode_body(raw: bytes) -> dict:
+    """The one POST-body decoder: a JSON object, else ``ValueError``.
+
+    JSON nested deeper than the interpreter's recursion limit raises
+    ``RecursionError`` in the decoder; it is a bad body like any other.
+    """
+    try:
+        body = json.loads(raw.decode("utf-8") or "{}")
+        if not isinstance(body, dict):
+            raise ValueError("request body must be a JSON object")
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"bad request body: {exc}") from None
+    return body
+
+
+class _Response:
+    """One encoded reply: status, body bytes, content type, headers.
+
+    A dict payload encodes as JSON, a str as the ``/metrics`` text
+    exposition.  ``close`` ends the connection after the reply.
+    """
+
+    __slots__ = ("status", "body", "content_type", "headers", "close")
+
+    def __init__(
+        self,
+        status: int,
+        payload: dict | str,
+        headers: Sequence[tuple[str, str]] = (),
+        close: bool = False,
+    ) -> None:
+        self.status = status
+        if isinstance(payload, str):
+            self.body = payload.encode("utf-8")
+            self.content_type = _METRICS_CONTENT_TYPE
+        else:
+            self.body = json.dumps(payload).encode("utf-8")
+            self.content_type = "application/json"
+        self.headers = tuple(headers)
+        self.close = close
+
+
+def _failure(exc: Exception) -> _Response:
+    """The one mapping from a failed handler call to its response."""
+    if isinstance(exc, StoreError):
+        return _Response(404, {"error": str(exc)})
+    if isinstance(exc, (ValueError, KeyError, TypeError)):
+        return _Response(400, {"error": str(exc)})
+    return _Response(500, {"error": f"{type(exc).__name__}: {exc}"})
 
 
 #: Request bodies above this many bytes are refused unread (413) by
@@ -853,13 +928,14 @@ MAX_BODY_BYTES = 8 << 20
 class _Refused(Exception):
     """A request both transports refuse without reading its body.
 
-    Answered with :attr:`status` and a closed connection: the stream
-    position after the request head is unknown, so keep-alive ends.
+    :attr:`response` carries the status and closes the connection: the
+    stream position after the request head is unknown, so keep-alive
+    ends.
     """
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
-        self.status = status
+        self.response = _Response(status, {"error": message}, close=True)
 
 
 def _body_length(lengths: list[str], transfer_encoding: bool) -> int:
@@ -895,7 +971,11 @@ def _json_float(value: float) -> float | str:
 
 
 def _make_handler(service: AnalyticsService):
-    """A request-handler class bound to *service*."""
+    """A request-handler class bound to *service*.
+
+    A byte pump: it frames each request, answers it through
+    :meth:`AnalyticsService.route` and writes the :class:`_Response`.
+    """
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -904,124 +984,45 @@ def _make_handler(service: AnalyticsService):
         # ~40 ms per request.
         disable_nagle_algorithm = True
 
-        # -- helpers ---------------------------------------------------
-        def _send(self, status: int, payload: dict, close: bool = False) -> None:
-            body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if close:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _send_text(self, status: int, text: str, content_type: str) -> None:
-            body = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _body(self) -> bytes | None:
-            """The raw request body, or ``None`` once it was refused.
-
-            Every method reads its body before routing, so no body (of
-            a GET, or of a 404) is left on the keep-alive stream to be
-            served as the next request.
-            """
+        def _serve(self) -> None:
+            watch = Stopwatch()
+            endpoint: str | None = None
             try:
                 length = _body_length(
                     self.headers.get_all("Content-Length", []),
                     "Transfer-Encoding" in self.headers,
                 )
             except _Refused as refused:
-                self._send(refused.status, {"error": str(refused)}, close=True)
-                return None
-            return self.rfile.read(length) if length else b""
+                response = refused.response
+            else:
+                # Read before routing, so no body (of a GET, or of a
+                # 404) is left on the keep-alive stream to be served
+                # as the next request.
+                raw = self.rfile.read(length) if length else b""
+                endpoint, answer = service.route(self.command, self.path)
+                response = answer(raw)
+            self.send_response(response.status)
+            self.send_header("Content-Type", response.content_type)
+            self.send_header("Content-Length", str(len(response.body)))
+            for name, value in response.headers:
+                self.send_header(name, value)
+            if response.close:
+                self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(response.body)
+            if endpoint is not None:
+                service.observe_request(endpoint, watch.elapsed())
 
-        def _dispatch(self, fn, *args, endpoint: str | None = None) -> None:
-            watch = Stopwatch()
-            try:
-                self._send(200, fn(*args))
-            except StoreError as exc:
-                self._send(404, {"error": str(exc)})
-            except (ValueError, KeyError, TypeError) as exc:
-                self._send(400, {"error": str(exc)})
-            except Exception as exc:  # pragma: no cover - defensive
-                self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
-            finally:
-                # Latency covers every attempt (including error paths);
-                # the per-endpoint request counter still counts only
-                # successful handling, as /stats always has.
-                if endpoint is not None:
-                    service.observe_request(endpoint, watch.elapsed())
+        do_GET = do_POST = _serve  # noqa: N815 - stdlib names
+
+        def __getattr__(self, name: str) -> Any:
+            # Every other method (HEAD, PUT, DELETE, ...) is answered by
+            # the core too, instead of the stdlib's 501 HTML page.
+            if name.startswith("do_"):
+                return self._serve
+            raise AttributeError(name)
 
         def log_message(self, fmt, *args):  # noqa: N802 - stdlib name
             pass  # keep the test/CI output clean
 
-        # -- routes ----------------------------------------------------
-        def do_GET(self):  # noqa: N802 - stdlib name
-            if self._body() is None:
-                return
-            path = self.path.rstrip("/")
-            if path == "/profiles" or path == "":
-                self._dispatch(service.handle_profiles, endpoint="profiles")
-            elif path.startswith("/profiles/"):
-                name = path[len("/profiles/"):]
-                self._dispatch(
-                    service.handle_profile_detail,
-                    name,
-                    endpoint="profile_detail",
-                )
-            elif path == "/stats":
-                self._dispatch(service.handle_stats, endpoint="stats")
-            elif path == "/metrics":
-                watch = Stopwatch()
-                try:
-                    text = service.render_metrics()
-                except Exception as exc:  # pragma: no cover - defensive
-                    self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
-                else:
-                    self._send_text(200, text, _METRICS_CONTENT_TYPE)
-                finally:
-                    service.observe_request("metrics", watch.elapsed())
-            else:
-                self._send(404, {"error": f"unknown endpoint {self.path!r}"})
-
-        def do_POST(self):  # noqa: N802 - stdlib name
-            raw = self._body()
-            if raw is None:
-                return
-            routes = {
-                "/score": service.handle_score,
-                "/ingest": service.handle_ingest,
-                "/drift": service.handle_drift,
-                "/window": service.handle_window,
-                "/timeline": service.handle_timeline,
-            }
-            path = self.path.rstrip("/")
-            fn = routes.get(path)
-            if fn is None:
-                self._send(404, {"error": f"unknown endpoint {self.path!r}"})
-                return
-            try:
-                body = json.loads(raw.decode("utf-8") or "{}")
-                if not isinstance(body, dict):
-                    raise ValueError("request body must be a JSON object")
-            except (ValueError, json.JSONDecodeError) as exc:
-                self._send(400, {"error": f"bad request body: {exc}"})
-                return
-            self._dispatch(fn, body, endpoint=path.lstrip("/"))
-
     return Handler
-
-
-def serve(
-    store_root: str | Path,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    **kwargs,
-) -> AnalyticsServer:
-    """Build an :class:`AnalyticsServer` over *store_root* (not started)."""
-    return AnalyticsServer(SummaryStore(store_root), host=host, port=port, **kwargs)

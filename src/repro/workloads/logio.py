@@ -11,12 +11,13 @@ entries).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from ..core.colstore import DEFAULT_CHUNK_ROWS, ColumnarLog
-from ..core.featurecache import CachedTemplate, FeatureCache
+from ..core.featurecache import FeatureCache
 from ..core.log import LogBuilder, QueryLog
 from ..sql import AligonExtractor, SqlError
 from .generator import SyntheticWorkload
@@ -159,11 +160,17 @@ def _load_into(
     max_errors_kept: int,
     feature_cache: FeatureCache | None,
 ) -> LoadReport:
-    """The §7 preparation loop, filling *builder* statement by statement.
+    """The §7 preparation loop, filling *builder* once per distinct statement.
 
     Shared by :func:`load_log` (in-RAM finalize) and
     :func:`load_log_columnar` (spill-mode builder); raises when no
     statement was usable, so callers can finalize unconditionally.
+    Raw lines are counted first (``Counter`` keeps first-seen order),
+    so each distinct string is looked up, classified and interned once
+    and added with its multiplicity: the cache sees the same lookups in
+    the same order as a line-by-line loop, and the vocabulary, rows,
+    counts and report come out identical.  Error samples are one line
+    per distinct raw failing statement, up to the cap.
     """
     if feature_cache is None:
         extractor = AligonExtractor(
@@ -171,52 +178,35 @@ def _load_into(
         )
         feature_cache = FeatureCache(extractor)
     report = LoadReport()
-    # Raw-string front memo: probing a dict is cheaper than even
-    # fingerprinting, so identical raw statements (the common case in
-    # machine-generated logs) skip the scanner too.  It holds the
-    # *resolved index row*, so repeats also skip the per-call feature
-    # sort and vocabulary probes; the fingerprint layer behind it
-    # handles literal churn.  Error samples are one line per distinct
-    # raw failing statement, up to the cap.
-    raw_memo: dict[str, tuple[CachedTemplate, frozenset | None]] = {}
-    for statement in statements:
-        report.total_statements += 1
+    for statement, n in Counter(statements).items():
+        report.total_statements += n
         upper = statement.lstrip().upper()
         if upper.startswith("EXEC ") or upper.startswith("CALL "):
-            report.stored_procedures += 1
+            report.stored_procedures += n
             continue
-        memo = raw_memo.get(statement)
-        if memo is None:
-            entry, cached = feature_cache.lookup(statement)
-            if entry.error is not None:
-                indices = None
-                if len(report.errors) < max_errors_kept:
-                    error = entry.error
-                    if cached:
-                        # A template hit carries the first variant's
-                        # error; quote this statement's own message.
-                        try:
-                            feature_cache.extractor.extract(statement)
-                        except SqlError as exc:
-                            error = exc
-                    report.errors.append(f"{error}: {statement[:120]}")
-            else:
-                indices = frozenset(
-                    builder.vocabulary.add(f) for f in entry.features
-                )
-            raw_memo[statement] = (entry, indices)
-        else:
-            entry, indices = memo
+        entry, cached = feature_cache.lookup(statement)
         if entry.error is not None:
+            if len(report.errors) < max_errors_kept:
+                error = entry.error
+                if cached:
+                    # A template hit carries the first variant's error;
+                    # quote this statement's own message.
+                    try:
+                        feature_cache.extractor.extract(statement)
+                    except SqlError as exc:
+                        error = exc
+                report.errors.append(f"{error}: {statement[:120]}")
             if feature_cache.classify_failure(entry, statement):
-                report.parsed += 1
-                report.non_rewritable += 1
+                report.parsed += n
+                report.non_rewritable += n
             else:
-                report.unparseable += 1
+                report.unparseable += n
             continue
-        report.parsed += 1
-        report.conjunctive_branches += entry.n_branches
-        builder.add_encoded(indices)
+        report.parsed += n
+        report.conjunctive_branches += entry.n_branches * n
+        builder.add_encoded(
+            frozenset(builder.vocabulary.add(f) for f in entry.features), n
+        )
     if len(builder) == 0:
         raise EmptyLogError("no usable statements in the input log")
     return report

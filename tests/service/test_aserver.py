@@ -1,14 +1,17 @@
 """Tests for the asyncio micro-batching transport (``aserver``).
 
-Three contracts from the issue: micro-batched ``/score`` responses are
-byte-identical to sequential scalar requests on the threaded transport;
-admission control sheds ingest
-overflow with 429 and recovers after drain; shutdown drains in-flight
-requests while refusing new connections.
+Micro-batched ``/score`` responses are byte-identical to sequential
+scalar requests on the threaded transport, and every other request —
+errors included — gets the same status, ``Content-Type`` and body from
+both transports (they share one request core); admission control sheds
+ingest overflow with 429 and recovers after drain; shutdown drains
+in-flight requests while refusing new connections and closing idle
+ones.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
@@ -59,10 +62,18 @@ _POOL = [
 
 def _post_raw(base: str, path: str, body: dict) -> tuple[int, bytes, dict]:
     """POST and return (status, raw bytes, headers) — no JSON decoding."""
+    return _send_raw(base, "POST", path, json.dumps(body).encode("utf-8"))
+
+
+def _send_raw(
+    base: str, method: str, path: str, data: bytes | None = None
+) -> tuple[int, bytes, dict]:
+    """One request; (status, raw bytes, headers) — no JSON decoding."""
     request = urllib.request.Request(
         base + path,
-        data=json.dumps(body).encode("utf-8"),
+        data=data,
         headers={"Content-Type": "application/json"},
+        method=method,
     )
     try:
         with urllib.request.urlopen(request, timeout=30) as response:
@@ -82,13 +93,9 @@ def transports(tmp_path_factory):
     store.save("tpch", compressed, log, note="seed")
     threaded = AnalyticsServer(store, port=0, staleness_threshold=float("inf"))
     threaded.start()
+    batched = AsyncAnalyticsServer(store, port=0, staleness_threshold=float("inf"))
     # A generous window so concurrently fired requests reliably coalesce.
-    batched = AsyncAnalyticsServer(
-        store,
-        port=0,
-        staleness_threshold=float("inf"),
-        batch_window_ms=50.0,
-    )
+    batched.batch_window_s = 0.05
     batched.start()
     yield threaded, batched
     batched.shutdown()
@@ -162,15 +169,41 @@ class TestBatchedScoringBitIdentity:
         assert 1 <= flushes < 8
 
     def test_error_bodies_match_threaded(self, transports):
+        """Every route (bar /ingest, which writes the shared store),
+        valid or not, gets the same status, type and bytes from both."""
         threaded, batched = transports
-        for path, body in (
-            ("/score", {"profile": "ghost", "statements": ["SELECT 1"]}),
-            ("/score", {"profile": "tpch"}),
-            ("/nope", {}),
+        for method, path, data in (
+            ("GET", "/", None),
+            ("GET", "/profiles", None),
+            ("GET", "/profiles/tpch", None),
+            ("GET", "/profiles/ghost", None),
+            ("GET", "/nope", None),
+            ("POST", "/score", {"profile": "tpch", "statements": _POOL[:2]}),
+            ("POST", "/score", {"profile": "ghost", "statements": ["SELECT 1"]}),
+            ("POST", "/score", {"profile": "tpch"}),
+            ("POST", "/drift", {"profile": "tpch", "statements": _POOL[:2]}),
+            ("POST", "/window", {"profile": "tpch"}),
+            ("POST", "/timeline", {"profile": "tpch"}),
+            ("POST", "/nope", {}),
+            ("POST", "/score", [1]),
+            ("POST", "/drift", "not an object"),
+            ("POST", "/score", b""),
+            ("POST", "/window", b""),
+            ("POST", "/score", b"{not json"),
+            ("POST", "/score", b"[" * 100_000),  # deeper than the decoder recurses
         ):
-            t_status, t_body, _ = _post_raw(threaded.url, path, body)
-            a_status, a_body, _ = _post_raw(batched.url, path, body)
-            assert (a_status, a_body) == (t_status, t_body)
+            if data is not None and not isinstance(data, bytes):
+                data = json.dumps(data).encode("utf-8")
+            t_status, t_body, t_headers = _send_raw(threaded.url, method, path, data)
+            a_status, a_body, a_headers = _send_raw(batched.url, method, path, data)
+            assert (a_status, a_body) == (t_status, t_body), (method, path, data)
+            assert a_headers["Content-Type"] == t_headers["Content-Type"]
+        # Their counters are per instance: compare all but the bytes.
+        for path in ("/stats", "/metrics"):
+            t_status, _, t_headers = _send_raw(threaded.url, "GET", path)
+            a_status, _, a_headers = _send_raw(batched.url, "GET", path)
+            assert a_status == t_status == 200
+            assert a_headers["Content-Type"] == t_headers["Content-Type"]
 
 
 class TestMalformedStatements:
@@ -200,6 +233,41 @@ class TestMalformedStatements:
             "error": "'statements' must be a list of strings"
         }
         assert store.latest("tpch").version == before
+
+    @pytest.mark.parametrize(
+        "path", ["/score", "/ingest", "/drift", "/window", "/timeline"]
+    )
+    @pytest.mark.parametrize(
+        "profile", [1, None, ["a"]], ids=["int", "null", "list"]
+    )
+    def test_non_string_profile_refused_alike(self, transports, path, profile):
+        threaded, batched = transports
+        store = threaded.store
+        before = store.latest("tpch").version
+        body = {"profile": profile, "statements": ["SELECT a FROM t"]}
+        t_status, t_body, t_headers = _post_raw(threaded.url, path, body)
+        a_status, a_body, a_headers = _post_raw(batched.url, path, body)
+        assert t_status == 400, t_body
+        assert (a_status, a_body) == (t_status, t_body)
+        assert a_headers["Content-Type"] == t_headers["Content-Type"]
+        assert json.loads(t_body) == {"error": "'profile' must be a string"}
+        assert store.latest("tpch").version == before
+
+    @pytest.mark.parametrize(
+        "method, path", [("PUT", "/score"), ("DELETE", "/profiles")]
+    )
+    def test_other_methods_get_the_core_404_and_close(
+        self, transports, method, path
+    ):
+        threaded, batched = transports
+        data = json.dumps({"profile": "tpch", "statements": []}).encode()
+        t_status, t_body, t_headers = _send_raw(threaded.url, method, path, data)
+        a_status, a_body, a_headers = _send_raw(batched.url, method, path, data)
+        assert t_status == 404, t_body
+        assert (a_status, a_body) == (t_status, t_body)
+        assert a_headers["Content-Type"] == t_headers["Content-Type"]
+        assert json.loads(t_body) == {"error": f"unknown endpoint {path!r}"}
+        assert t_headers["Connection"] == a_headers["Connection"] == "close"
 
 
 def _exchange(server, raw: bytes) -> tuple[int, dict[str, str], bytes, bytes]:
@@ -419,8 +487,9 @@ def blocked_store(tmp_path):
 class TestBackpressure:
     def test_overflow_sheds_429_and_recovers(self, blocked_store):
         server = _BlockingIngestServer(
-            blocked_store, port=0, max_queue=2, staleness_threshold=float("inf")
+            blocked_store, port=0, staleness_threshold=float("inf")
         )
+        server.max_queue = 2
         body = {"profile": "tpch", "statements": ["SELECT a FROM t"]}
         with server:
             with ThreadPoolExecutor(max_workers=2) as pool:
@@ -455,11 +524,18 @@ class TestBackpressure:
 
 
 class TestShutdownDrain:
-    def test_inflight_completes_new_connections_refused(self, blocked_store):
+    def test_inflight_completes_new_connections_refused(
+        self, blocked_store, capfd
+    ):
         server = _BlockingIngestServer(
             blocked_store, port=0, staleness_threshold=float("inf")
         )
         host, port = server.start()
+        # An idle keep-alive client: it made a request and stays open.
+        # Drain closes it at once rather than waiting for its next head.
+        idle = http.client.HTTPConnection(host, port, timeout=10)
+        idle.request("GET", "/profiles")
+        assert idle.getresponse().read()
         body = {"profile": "tpch", "statements": ["SELECT a FROM t"]}
         with ThreadPoolExecutor(max_workers=1) as pool:
             inflight = pool.submit(_post_raw, server.url, "/ingest", body)
@@ -481,11 +557,15 @@ class TestShutdownDrain:
             # The in-flight request is NOT dropped: it completes once
             # its handler finishes.
             server.release.set()
+            released = time.monotonic()
             status, raw, _ = inflight.result(timeout=30)
             assert status == 200
             assert json.loads(raw)["blocked"]
             stopper.join(timeout=30)
             assert not stopper.is_alive()
+            assert time.monotonic() - released < 1.0
+        idle.close()
+        assert capfd.readouterr().err == ""
 
 
 def _scripted_server(script: list[tuple[int, dict, bytes]]):

@@ -220,7 +220,7 @@ class TestIngestEndpoint:
             assert 0.0 <= cache["rows"]["hit_rate"] <= 1.0
             assert cache["templates"]["misses"] >= 1
 
-    def test_eviction_persists_unpersisted_ingest(self, tmp_path):
+    def test_eviction_drops_handle_and_reloads_stored_ingest(self, tmp_path):
         store = SummaryStore(tmp_path / "store")
         for name, seed in (("alpha", 1), ("beta", 2)):
             workload = generate_tpch(total=500, variants_per_template=4, seed=seed)
@@ -232,11 +232,12 @@ class TestIngestEndpoint:
             batch = list(
                 generate_tpch(total=200, variants_per_template=4, seed=1).statements()
             )[:50]
-            client.ingest("alpha", batch, persist=False)
-            assert store.latest("alpha").version == 1  # not yet persisted
+            assert client.ingest("alpha", batch)["version"] == 2
+            assert store.latest("alpha").version == 2  # stored before the reply
             client.score("beta", batch[:2])  # evicts alpha from the LRU
-            assert store.latest("alpha").version == 2
-            assert store.latest("alpha").note == "persisted on cache eviction"
+            assert client.stats()["hot_profiles"] == ["beta"]
+            # A cold reload serves the stored ingest.
+            assert client.score("alpha", batch[:2])["version"] == 2
         assert store.load("alpha").mixture.total == 500 + 50
 
     def test_drift_threshold_change_rebuilds_monitor(self, tmp_path):
@@ -340,7 +341,7 @@ class TestConcurrentScoring:
                     pool.submit(hammer, i) for i in range(self.WORKERS)
                 ]
                 for batch in ingest_batches:
-                    client.ingest("tpch", batch, persist=False)
+                    client.ingest("tpch", batch)
                     allowed.add(score_vector())
                 observed = [v for f in futures for v in f.result()]
 
