@@ -7,8 +7,12 @@ values) on ephemeral ports: scores a 100-query batch through the HTTP
 client, runs one ingest round, verifies the store advanced a version,
 scrapes ``/metrics`` and checks the exposition reflects the traffic
 (including the async transport's batch-size and queue-depth
-families), and shuts down.  Exits non-zero on any failure; runtime is
-a few seconds so it fits the fast CI budget.
+families), and shuts down.  Then, on both backends, the restart legs:
+ingest past one periodic journal checkpoint, and either shut down
+cleanly or abandon the server without ``shutdown()``; a new server
+over the same directory must list the same versions and answer a
+probe ``/score`` with the same bytes.  Exits non-zero on any failure;
+runtime is a few seconds so it fits the fast CI budget.
 
 Run with::
 
@@ -17,9 +21,11 @@ Run with::
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 import time
+import urllib.request
 
 from pathlib import Path
 
@@ -32,6 +38,7 @@ from repro.service import (
     AsyncAnalyticsServer,
     SummaryStore,
 )
+from repro.service.store import CHECKPOINT_RECORDS
 from repro.workloads import generate_tpch
 
 
@@ -136,6 +143,51 @@ def run_backend(backend: str, workload, log, compressed) -> None:
         assert reloaded.mixture.total == log.total + 100
 
 
+def post_raw(base: str, path: str, body: dict) -> bytes:
+    """POST *body* and return the raw response bytes."""
+    request = urllib.request.Request(
+        base + path, data=json.dumps(body).encode("utf-8"), method="POST"
+    )
+    with urllib.request.urlopen(request, timeout=30) as response:
+        return response.read()
+
+
+def run_restart(backend: str, workload, log, compressed, clean: bool) -> None:
+    """Ingest past a periodic checkpoint, restart, compare the answers.
+
+    *clean* shuts the first server down (it checkpoints its live
+    version); otherwise the server is abandoned as it stands and the
+    new one reads a fresh ``SummaryStore``, replaying the journal.
+    """
+    server_class = AsyncAnalyticsServer if backend == "async" else AnalyticsServer
+    statements = list(workload.statements(shuffle=True, seed=3))
+    probe = {"profile": "tpch", "statements": statements[:20]}
+    with tempfile.TemporaryDirectory() as root:
+        store = SummaryStore(root)
+        store.save("tpch", compressed, log)
+        server = server_class(store, port=0, staleness_threshold=float("inf"))
+        server.start()
+        client = AnalyticsClient(server.url)
+        n_ingests = CHECKPOINT_RECORDS + 3
+        for i in range(n_ingests):
+            client.ingest("tpch", statements[i * 4:(i + 1) * 4])
+        manifest = json.loads((Path(root) / "manifest.json").read_text())
+        checkpoints = [v["version"] for v in manifest["profiles"]["tpch"]["versions"]]
+        assert checkpoints == [1, CHECKPOINT_RECORDS + 2], checkpoints
+        detail = client.profile("tpch")
+        assert detail["current_version"] == n_ingests + 1, detail
+        scored = post_raw(server.url, "/score", probe)
+        if clean:
+            server.shutdown()
+        restarted = server_class(SummaryStore(root), port=0)
+        with restarted:
+            again = AnalyticsClient(restarted.url)
+            assert again.profile("tpch") == detail, "version history changed"
+            assert post_raw(restarted.url, "/score", probe) == scored
+        if not clean:
+            server.shutdown()
+
+
 def run_columnar_encode(workload) -> None:
     """Spill-mode encode smoke: telemetry families must reflect the run.
 
@@ -174,12 +226,15 @@ def main() -> int:
 
     for backend in ("threaded", "async"):
         run_backend(backend, workload, log, compressed)
+        for clean in (True, False):
+            run_restart(backend, workload, log, compressed, clean)
 
     run_columnar_encode(workload)
 
     print(
         "service smoke: PASS x2 backends (scored 100-query batch, "
-        "ingested, v2 persisted, /metrics scrape verified) "
+        "ingested, v2 persisted, /metrics scrape verified; clean and "
+        "crash restarts past a journal checkpoint answer alike) "
         "+ columnar encode telemetry"
     )
     return 0

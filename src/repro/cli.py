@@ -561,18 +561,18 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    from .service import IncrementalIngestor, SummaryStore
+    from .service import SummaryStore
 
     store = SummaryStore(args.store)
-    compressed, log = store.load_state(args.profile)
-    if log is None:
+    # The latest version, journal records replayed: a server may have
+    # journaled ingests since the last checkpoint.
+    stored = store.load_version(args.profile)
+    if stored.log is None:
         raise SystemExit(
             f"profile {args.profile!r} was stored without training state; "
             "re-create it with `logr compress --store --profile`"
         )
-    ingestor = IncrementalIngestor(
-        compressed,
-        log,
+    ingestor = stored.ingestor(
         staleness_threshold=args.staleness_threshold,
         seed=args.seed,
         jobs=args.jobs,
@@ -584,6 +584,7 @@ def _cmd_ingest(args) -> int:
         ingestor.compressed,
         ingestor.log,
         note=f"ingest {args.log.name}",
+        running_sums=ingestor.running_sums(),
     )
     print(report)
     print(f"profile {args.profile!r} -> v{record.version}")

@@ -2,7 +2,8 @@
 
 The core library compresses a log once; this package keeps the result
 alive.  :class:`SummaryStore` persists versioned, multi-tenant
-profiles plus append-only pane segments; :class:`IncrementalIngestor`
+profiles (checkpoints plus an append-only ingest journal) and
+append-only pane segments; :class:`IncrementalIngestor`
 merges arriving mini-batches in O(batch) with a staleness-triggered
 full recompression; :class:`WindowedProfile` slices each tenant's
 stream into tumbling panes and composes them (sliding, decayed,

@@ -29,7 +29,8 @@ single stdlib-``asyncio`` event loop that:
   never shut down;
 * **drains gracefully** on shutdown — the listener closes first (new
   connections refused), idle keep-alive connections close at once,
-  in-flight requests complete and pending score batches flush.
+  in-flight requests complete and pending score batches flush; then
+  hot profiles are checkpointed at their live versions.
 
 Everything is instrumented on :mod:`repro.obs` and scraped through the
 same ``GET /metrics``: ``logr_serve_batch_size`` (requests coalesced
@@ -309,7 +310,8 @@ class AsyncAnalyticsServer(AnalyticsService):
         self._stopped.wait()
 
     def shutdown(self) -> None:
-        """Refuse new connections, drain in-flight requests, stop."""
+        """Refuse new connections, drain in-flight requests, stop, then
+        checkpoint hot profiles."""
         self._shutdown_requested.set()
         loop = self._loop
         if loop is not None:
@@ -320,6 +322,7 @@ class AsyncAnalyticsServer(AnalyticsService):
         if self._thread is not None:
             self._thread.join(timeout=DEFAULT_DRAIN_TIMEOUT + 5)
             self._thread = None
+        self.checkpoint()
 
     def __enter__(self) -> "AsyncAnalyticsServer":
         self.start()

@@ -25,7 +25,7 @@ exactly when incremental maintenance has measurably degraded fidelity.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ from ..obs import metrics as _metrics
 from ..obs.trace import span as _span
 from ..sql import AligonExtractor, SqlError
 
-__all__ = ["IngestReport", "IncrementalIngestor"]
+__all__ = ["BatchDelta", "IngestReport", "IncrementalIngestor"]
 
 # Telemetry only (see repro.obs): ingest throughput/outcome accounting,
 # aggregated across every ingestor in the process.
@@ -63,6 +63,18 @@ _INGEST_MERGE_SECONDS = _metrics.histogram(
 )
 
 
+@dataclass(frozen=True)
+class BatchDelta:
+    """What one merge added to a profile: the payload of a journal record.
+
+    Replaying it with :meth:`IncrementalIngestor.replay` on the state it
+    was merged into reproduces the merge exactly.
+    """
+
+    features: tuple  # codebook features the batch added, in insertion order
+    rows: tuple[tuple[tuple[int, ...], int], ...]  # (index row, count), merge order
+
+
 @dataclass
 class IngestReport:
     """Accounting of one mini-batch merge."""
@@ -79,6 +91,7 @@ class IngestReport:
     seconds: float
     n_skipped_procedures: int = 0  # EXEC / CALL invocations
     n_skipped_unparseable: int = 0  # statements the SQL pipeline rejected
+    delta: BatchDelta | None = field(default=None, repr=False)  # the merge itself
 
     def __str__(self) -> str:
         action = "recompressed" if self.recompressed else "merged"
@@ -128,6 +141,10 @@ class IncrementalIngestor:
             removed, the default disjunct cap), as every store consumer
             does.  By default the ingestor builds its own.  The
             per-codebook row cache takes its capacity.
+        running_sums: the :meth:`running_sums` of the ingestor that
+            held *compressed* and *log* (a store checkpoint keeps them).
+            By default they are recomputed from the counts, which can
+            differ from a long-running ingestor's in the last bits.
     """
 
     def __init__(
@@ -138,6 +155,7 @@ class IncrementalIngestor:
         seed: int | np.random.Generator | None = 0,
         jobs: int = 1,
         feature_cache: FeatureCache | None = None,
+        running_sums: dict | None = None,
     ):
         mixture = compressed.mixture
         if mixture.vocabulary is None:
@@ -179,6 +197,12 @@ class IncrementalIngestor:
             _row_key(row): position for position, row in enumerate(self._matrix)
         }
         self._reset_partitions()
+        if running_sums is not None:
+            clog = np.asarray(running_sums["clog"], dtype=float)
+            if clog.shape != self._clog.shape:
+                raise ValueError("running sums do not match the artifact's components")
+            self._clog = clog
+            self.baseline_error = float(running_sums["baseline_error"])
 
     @classmethod
     def from_log(
@@ -237,6 +261,20 @@ class IncrementalIngestor:
         """JSON-ready fingerprint-cache counters."""
         return self._encoder.stats_payload()
 
+    def running_sums(self) -> dict:
+        """The float state beside the artifact and its log, JSON-ready.
+
+        Per-partition ``S_i = sum(c * log2(c))`` is a running sum that
+        a recount from the counts reproduces only up to rounding, and
+        the Error at the last full compression is what staleness is
+        measured from.  A store checkpoint keeps both, so an ingestor
+        rebuilt from it (``running_sums=``) continues bit for bit.
+        """
+        return {
+            "clog": [float(value) for value in self._clog],
+            "baseline_error": float(self.baseline_error),
+        }
+
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
@@ -293,6 +331,17 @@ class IncrementalIngestor:
             batch[indices] = batch.get(indices, 0) + 1
         return self._merge(batch, n, n, start)
 
+    def replay(self, delta: BatchDelta) -> None:
+        """Re-apply a journaled merge on the state it was merged into.
+
+        Grows the codebook by the delta's features, in order, then
+        merges its rows with the staleness trigger off: a journaled
+        merge never recompressed (a recompression is checkpointed).
+        """
+        for feature in delta.features:
+            self._vocabulary.add(feature)
+        self._apply({frozenset(row): count for row, count in delta.rows})
+
     def _merge(
         self,
         batch: dict[frozenset[int], int],
@@ -302,6 +351,56 @@ class IncrementalIngestor:
         n_procedures: int = 0,
         n_unparseable: int = 0,
     ) -> IngestReport:
+        n_old_features = self._matrix.shape[1]
+        rows, n_new_rows = self._apply(batch)
+        n_features = self._matrix.shape[1]
+        delta = BatchDelta(
+            features=tuple(
+                self._vocabulary.feature(i)
+                for i in range(n_old_features, n_features)
+            ),
+            rows=rows,
+        )
+        # Report the staleness that triggered recompression (the live
+        # value resets to 0 once the trigger fires).
+        staleness = self.staleness
+        recompressed = False
+        if staleness > self.staleness_threshold:
+            self.recompress()
+            recompressed = True
+        seconds = time.perf_counter() - start
+        _INGEST_BATCHES.inc()
+        _INGEST_MERGE_SECONDS.observe(seconds)
+        if n_encoded:
+            _INGEST_STATEMENTS.inc(n_encoded, outcome="encoded")
+        if n_procedures:
+            _INGEST_STATEMENTS.inc(n_procedures, outcome="procedure")
+        if n_unparseable:
+            _INGEST_STATEMENTS.inc(n_unparseable, outcome="unparseable")
+        return IngestReport(
+            n_statements=n_offered,
+            n_encoded=n_encoded,
+            n_skipped=n_offered - n_encoded,
+            n_batch_distinct=len(batch),
+            n_new_rows=n_new_rows,
+            n_new_features=n_features - n_old_features,
+            error_bits=self.compressed.error,
+            staleness=staleness,
+            recompressed=recompressed,
+            seconds=seconds,
+            n_skipped_procedures=n_procedures,
+            n_skipped_unparseable=n_unparseable,
+            delta=delta,
+        )
+
+    def _apply(
+        self, batch: dict[frozenset[int], int]
+    ) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
+        """Merge *batch* into the live state (no staleness trigger).
+
+        Returns the batch's ``(index row, count)`` pairs in merge order
+        and the number of rows it added.
+        """
         n_old_features = self._matrix.shape[1]
         n_features = len(self._vocabulary)
         if n_features > n_old_features:
@@ -328,9 +427,12 @@ class IncrementalIngestor:
         new_counts: list[int] = []
         new_labels: list[int] = []
         n_new_rows = 0
+        rows: list[tuple[tuple[int, ...], int]] = []
         for indices, count in batch.items():
+            index_row = tuple(sorted(indices))
+            rows.append((index_row, count))
             row = np.zeros(n_features, dtype=np.uint8)
-            row[sorted(indices)] = 1
+            row[list(index_row)] = 1
             key = _row_key(row)
             position = self._row_index.get(key)
             if position is not None:
@@ -390,36 +492,7 @@ class IncrementalIngestor:
             build_seconds=self.compressed.build_seconds,
             refined_patterns=0,
         )
-        # Report the staleness that triggered recompression (the live
-        # value resets to 0 once the trigger fires).
-        staleness = self.staleness
-        recompressed = False
-        if staleness > self.staleness_threshold:
-            self.recompress()
-            recompressed = True
-        seconds = time.perf_counter() - start
-        _INGEST_BATCHES.inc()
-        _INGEST_MERGE_SECONDS.observe(seconds)
-        if n_encoded:
-            _INGEST_STATEMENTS.inc(n_encoded, outcome="encoded")
-        if n_procedures:
-            _INGEST_STATEMENTS.inc(n_procedures, outcome="procedure")
-        if n_unparseable:
-            _INGEST_STATEMENTS.inc(n_unparseable, outcome="unparseable")
-        return IngestReport(
-            n_statements=n_offered,
-            n_encoded=n_encoded,
-            n_skipped=n_offered - n_encoded,
-            n_batch_distinct=len(batch),
-            n_new_rows=n_new_rows,
-            n_new_features=n_features - n_old_features,
-            error_bits=self.compressed.error,
-            staleness=staleness,
-            recompressed=recompressed,
-            seconds=seconds,
-            n_skipped_procedures=n_procedures,
-            n_skipped_unparseable=n_unparseable,
-        )
+        return tuple(rows), n_new_rows
 
     # ------------------------------------------------------------------
     # full recompression (the staleness escape hatch)

@@ -44,7 +44,11 @@ statements.  When the server is constructed with ``pane_statements``,
 ``/ingest`` additionally routes each batch into the profile's windowed
 panes (splitting at pane boundaries), growing the timeline as traffic
 arrives.  Every ``/ingest`` stores a new profile version before it
-answers, so each ``version`` a response names is a stored one.
+answers, so each ``version`` a response names is a stored one: one
+journal record appended (see :mod:`repro.service.store`), or a full
+checkpoint when the merge recompressed, the journal is due one, or
+another writer saved the profile since.  Shutdown checkpoints every
+hot profile at its live version, so the manifest names it.
 
 Concurrency model — hot profiles live in an LRU cache as
 :class:`_Profile` handles.  Each handle separates the *live* state (an
@@ -62,6 +66,7 @@ assignment.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -82,13 +87,23 @@ from ..obs import metrics as _metrics
 from ..obs.textfmt import CONTENT_TYPE as _METRICS_CONTENT_TYPE
 from ..obs.textfmt import render_text
 from .ingest import IncrementalIngestor
-from .store import StoreError, SummaryStore
+from .store import (
+    ProfileVersion,
+    StoredVersion,
+    StoreError,
+    SummaryStore,
+    valid_profile_name,
+)
 from .windows import WindowedProfile
 
 __all__ = ["AnalyticsService", "AnalyticsServer"]
 
 #: Default drift window, matching ``StreamingDriftMonitor``.
 DEFAULT_WINDOW_SIZE = 500
+#: Bounds on a ``/drift`` body's ``window_size``: the calibration draws
+#: five windows' worth of rows while it holds the profile's lock.
+MIN_WINDOW_SIZE = 10
+MAX_WINDOW_SIZE = 100_000
 
 #: The URL surface, ``(method, path) -> (endpoint, handler name)``;
 #: ``GET /profiles/<name>`` is the one parameterized route.  Names, not
@@ -134,24 +149,24 @@ class _Profile:
     def __init__(
         self,
         name: str,
-        version: int,
-        compressed: CompressedLog,
-        log: QueryLog | None,
+        stored: StoredVersion,
         threshold_quantile: float,
         staleness_threshold: float,
         seed: int,
         jobs: int = 1,
     ):
         self.name = name
-        self.version = version
+        self.version = stored.version
         self.lock = threading.Lock()  # serializes ingest/drift mutation
         self.threshold_quantile = threshold_quantile
+        # Journal records on top of the live version's checkpoint: a
+        # live version that is a record is checkpointed at shutdown.
+        self.journaled = len(stored.deltas)  # guarded-by: lock
         self.ingestor: IncrementalIngestor | None = None
+        compressed, log = stored.compressed, stored.log
         if log is not None:
             try:
-                self.ingestor = IncrementalIngestor(
-                    compressed,
-                    log,
+                self.ingestor = stored.ingestor(
                     staleness_threshold=staleness_threshold,
                     seed=seed,
                     jobs=jobs,
@@ -160,6 +175,8 @@ class _Profile:
                 # e.g. a refined mixture: it cannot be incrementally
                 # maintained, but scoring and drift must still work.
                 self.ingestor = None
+            else:
+                compressed, log = self.ingestor.compressed, self.ingestor.log
         self.state_log = log
         self.monitor = self._build_monitor(compressed, log)
         self._drift: StreamingDriftMonitor | None = None  # guarded-by: lock
@@ -306,39 +323,48 @@ class AnalyticsService:
             if handle is not None:
                 self._cache.move_to_end(name)
                 return handle
+        if not valid_profile_name(name):
+            # Before any per-name state: a name the store could never
+            # hold must not leave a load lock behind.
+            raise StoreError(f"unknown profile {name!r}")
+        with self._cache_lock:
             load_lock = self._load_locks.setdefault(name, threading.Lock())
         # Cold load outside the global lock: reading a large profile and
         # calibrating its monitor can take a while, and requests for
         # already-hot profiles must not stall behind it.
-        with load_lock:
+        try:
+            with load_lock:
+                with self._cache_lock:
+                    handle = self._cache.get(name)
+                    if handle is not None:
+                        self._cache.move_to_end(name)
+                        return handle
+                # Raises StoreError when the profile is unknown.
+                handle = _Profile(
+                    name=name,
+                    stored=self.store.load_version(name),
+                    threshold_quantile=self.threshold_quantile,
+                    staleness_threshold=self.staleness_threshold,
+                    seed=self.seed,
+                    jobs=self.jobs,
+                )
+                with self._cache_lock:
+                    self._cache[name] = handle
+                    self._evict()
+        except BaseException:
             with self._cache_lock:
-                handle = self._cache.get(name)
-                if handle is not None:
-                    self._cache.move_to_end(name)
-                    return handle
-            latest = self.store.latest(name)  # raises StoreError when unknown
-            compressed, log = self.store.load_state(name, latest.version)
-            handle = _Profile(
-                name=name,
-                version=latest.version,
-                compressed=compressed,
-                log=log,
-                threshold_quantile=self.threshold_quantile,
-                staleness_threshold=self.staleness_threshold,
-                seed=self.seed,
-                jobs=self.jobs,
-            )
-            with self._cache_lock:
-                self._cache[name] = handle
-                self._evict()
+                if self._load_locks.get(name) is load_lock:
+                    del self._load_locks[name]
+            raise
         return handle
 
     def _evict(self) -> None:  # holds: _cache_lock
         """Drop over-capacity LRU handles (caller holds the cache lock).
 
-        Every ingest is already stored, so eviction only drops the
-        handle.  A handle whose per-profile lock is held (an ingest in
-        flight) is skipped this round rather than yanked mid-mutation.
+        Every ingest is already stored (a reload replays the journal),
+        so eviction only drops the handle.  A handle whose per-profile
+        lock is held (an ingest in flight) is skipped this round rather
+        than yanked mid-mutation.
         """
         excess = len(self._cache) - self.cache_profiles
         for name in list(self._cache):
@@ -553,16 +579,62 @@ class AnalyticsService:
     def _ingest_locked(
         self, name: str, handle: "_Profile", statements: list
     ):  # holds: lock
-        """One ingest merge + store + republish.  Caller holds handle.lock."""
-        report = handle.ingestor.ingest_statements(statements)
-        record = self.store.save(
-            name,
-            handle.ingestor.compressed,
-            handle.ingestor.log,
-            note=f"ingest {report.n_encoded} statements",
-        )
+        """One ingest merge + store + republish.  Caller holds handle.lock.
+
+        The merge is appended to the profile's journal; when it
+        recompressed, or the store refuses the record (journal full, or
+        another writer saved the profile since this handle's version),
+        the whole profile is checkpointed instead.
+        """
+        ingestor = handle.ingestor
+        report = ingestor.ingest_statements(statements)
+        note = f"ingest {report.n_encoded} statements"
+        record = None
+        if not report.recompressed:
+            record = self.store.append(
+                name, handle.version, ingestor.compressed, report.delta, note=note
+            )
+        if record is None:
+            record = self._checkpoint(handle, note)
+        else:
+            handle.journaled += 1
         handle.publish(record.version)
         return report, record.version
+
+    def _checkpoint(
+        self, handle: "_Profile", note: str = "", version: int | None = None
+    ) -> ProfileVersion:  # holds: lock
+        """Save the handle's live state as a checkpoint (see ``store.save``)."""
+        ingestor = handle.ingestor
+        record = self.store.save(
+            handle.name,
+            ingestor.compressed,
+            ingestor.log,
+            note=note,
+            running_sums=ingestor.running_sums(),
+            version=version,
+        )
+        handle.journaled = 0
+        return record
+
+    def checkpoint(self) -> None:
+        """Checkpoint every hot profile whose live version is a journal record.
+
+        Both transports call this when they shut down, so the manifest's
+        last entry of each profile is its final version, at the version
+        number it was served under.  A profile another writer saved
+        since is skipped: its journal still holds the live version.
+        """
+        with self._cache_lock:
+            handles = list(self._cache.values())
+        for handle in handles:
+            with handle.lock:
+                if handle.ingestor is None or not handle.journaled:
+                    continue
+                try:
+                    self._checkpoint(handle, version=handle.version)
+                except StoreError:
+                    pass
 
     def handle_ingest(self, body: dict) -> dict:
         """POST /ingest — merge a mini-batch, store, republish."""
@@ -587,6 +659,13 @@ class AnalyticsService:
             handle.lock.release()
         try:
             report, version = self._ingest_locked(name, handle, statements)
+        except BaseException:
+            # The live state may hold a merge the store never recorded;
+            # drop the handle so the next request reloads what is stored.
+            with self._cache_lock:
+                if self._cache.get(name) is handle:
+                    del self._cache[name]
+            raise
         finally:
             handle.lock.release()
         panes_sealed: list[int] = []
@@ -623,9 +702,19 @@ class AnalyticsService:
     def handle_drift(self, body: dict) -> dict:
         """POST /drift — batch divergence plus windowed stream reports."""
         name, statements = _require_profile(body), _require_statements(body)
-        window_size = int(body.get("window_size", DEFAULT_WINDOW_SIZE))
+        window_size = _require_int(
+            body, "window_size", DEFAULT_WINDOW_SIZE, MIN_WINDOW_SIZE, MAX_WINDOW_SIZE
+        )
+        top_k = _require_int(body, "top", 10, 0)
         threshold = body.get("threshold")
-        threshold = None if threshold is None else float(threshold)
+        if threshold is not None:
+            if (
+                isinstance(threshold, bool)
+                or not isinstance(threshold, (int, float))
+                or not math.isfinite(threshold)
+            ):
+                raise ValueError("'threshold' must be a finite number")
+            threshold = float(threshold)
         handle = self._profile(name)
         with handle.lock:
             monitor = handle.drift_monitor(window_size, threshold, self.seed)
@@ -644,9 +733,7 @@ class AnalyticsService:
                     "divergence_bits": d.divergence_bits,
                     "direction": d.direction,
                 }
-                for d in feature_drift(
-                    monitor.baseline, batch, top_k=int(body.get("top", 10))
-                )
+                for d in feature_drift(monitor.baseline, batch, top_k=top_k)
             ]
         return {
             "profile": name,
@@ -819,12 +906,13 @@ class AnalyticsServer(AnalyticsService):
         self._httpd.serve_forever()
 
     def shutdown(self) -> None:
-        """Stop serving and release the socket."""
+        """Stop serving, release the socket, checkpoint hot profiles."""
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
+        self.checkpoint()
 
     def __enter__(self) -> "AnalyticsServer":
         self.start()
@@ -867,6 +955,22 @@ def _require_statements(body: dict) -> list[str]:
     ):
         raise ValueError("'statements' must be a list of strings")
     return statements
+
+
+def _require_int(
+    body: dict, key: str, default: int, low: int, high: int | None = None
+) -> int:
+    """The body's optional integer *key* (not a bool), within ``[low, high]``."""
+    value = body.get(key, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        bounds = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{key!r} must be an integer {bounds}")
+    return value
 
 
 def _decode_body(raw: bytes) -> dict:

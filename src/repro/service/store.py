@@ -9,15 +9,46 @@ sequence of immutable versions, indexed by a manifest.
 On disk::
 
     <root>/
-        manifest.json                 # profile -> versions index
-        profiles/<name>/v000001.json  # one self-contained file per version
+        manifest.json                 # profile -> checkpoints, pane segments
+        profiles/<name>/v000001.json  # a checkpoint: one self-contained version
+        profiles/<name>/j000001.log   # ingest journal on top of checkpoint 1
         segments/<name>/s000000.json  # one time pane per segment (0-based)
 
-Each version file carries the *full* :class:`repro.core.compress.
+Versions are dense per profile.  Each one is either a *checkpoint* or a
+*journal record*.  A checkpoint is a version file listed in the
+manifest.  It carries the *full* :class:`repro.core.compress.
 CompressedLog` payload (mixture + labels + provenance + vocabulary)
 and, optionally, the encoded training state (distinct rows +
 multiplicities) that incremental ingestion and threshold calibration
-need.  The raw SQL text is never stored.
+need.  Its manifest entry also keeps the ingestor's float running sums,
+so a reloaded ingestor continues bit for bit.  The raw SQL text is
+never stored.
+
+A journal record is one ``/ingest``: :meth:`SummaryStore.append` adds
+it to the journal of the profile's latest checkpoint with one write and
+one fsync, and touches neither the manifest nor a version file.  It
+holds the merge's :class:`repro.service.ingest.BatchDelta` (the
+codebook features it added, in insertion order, and its ``(index row,
+count)`` pairs, in merge order) and that version's
+:class:`ProfileVersion` summary.  Each record is framed as
+``[u32 LE payload length][u32 LE CRC-32 of the payload][payload]``,
+the payload a compact JSON object.  A reader keeps the prefix up to
+the last whole record (length, checksum and consecutive version all
+check out); the next append cuts the file back to that prefix first.
+Loading a journaled version reads the checkpoint below it and replays
+the records through :meth:`IncrementalIngestor.replay
+<repro.service.ingest.IncrementalIngestor.replay>`, which reproduces
+the state its writer held bit for bit.
+
+Checkpoint policy: :meth:`SummaryStore.save` writes one — the caller
+decides when (a recompression, ``logr compress`` / ``logr ingest``,
+server shutdown).  :meth:`SummaryStore.append` writes nothing and
+returns ``None`` when the journal already holds
+:data:`CHECKPOINT_RECORDS` records, or when the version the record
+was computed from is no longer the profile's latest (another writer
+saved in between); the caller then saves a checkpoint instead.
+``save(..., version=v)`` checkpoints an existing journaled version in
+place (shutdown), so the manifest's last entry names the live version.
 
 Segments are the windowed layer's pane log: an append-only sequence of
 compressed pane mixtures per profile (see :mod:`repro.service.windows`),
@@ -36,9 +67,11 @@ import contextlib
 import json
 import os
 import re
+import struct
 import tempfile
 import threading
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,9 +84,22 @@ import numpy as np
 
 from ..core.compress import CompressedLog
 from ..core.log import QueryLog
+from ..core.mixture import _default_feature_codec, _default_feature_decoder
 from ..obs import metrics as _metrics
+from ..obs.trace import span as _span
+from .ingest import BatchDelta, IncrementalIngestor
 
-__all__ = ["ProfileVersion", "PaneSegment", "SummaryStore", "StoreError"]
+__all__ = [
+    "CHECKPOINT_RECORDS",
+    "ProfileVersion",
+    "PaneSegment",
+    "StoredVersion",
+    "SummaryStore",
+    "StoreError",
+]
+
+#: Journal records a checkpoint may carry; the next ingest checkpoints.
+CHECKPOINT_RECORDS = 64
 
 # Telemetry only (see repro.obs): store I/O traffic across every
 # SummaryStore in the process, by artifact kind.
@@ -64,7 +110,7 @@ _STORE_READS = _metrics.counter(
 )
 _STORE_WRITES = _metrics.counter(
     "logr_store_writes_total",
-    "Store artifact writes, by kind (profile/segment_rewrite).",
+    "Store writes, by kind (profile checkpoint/journal record/segment_rewrite).",
     labelnames=("kind",),
 )
 _STORE_SEGMENT_APPENDS = _metrics.counter(
@@ -78,9 +124,17 @@ _MANIFEST_FORMAT = "logr-store-v1"
 _PROFILE_FORMAT = "logr-profile-v1"
 _SEGMENT_FORMAT = "logr-pane-v1"
 
+#: Journal record header: payload length, CRC-32 of the payload.
+_FRAME = struct.Struct("<II")
+
 
 class StoreError(KeyError):
     """Unknown profile/version or a malformed store layout."""
+
+
+def valid_profile_name(name: str) -> bool:
+    """Whether the store could hold a profile called *name*."""
+    return bool(_NAME_RE.match(name))
 
 
 @dataclass(frozen=True)
@@ -185,6 +239,47 @@ class PaneSegment:
         )
 
 
+@dataclass
+class StoredVersion:
+    """One loaded profile version: a checkpoint plus the records above it.
+
+    :meth:`SummaryStore.load_version` returns it.  ``deltas`` are the
+    journal records between the checkpoint and ``version`` (empty when
+    ``version`` is a checkpoint); :meth:`ingestor` replays them.
+    """
+
+    version: int
+    compressed: CompressedLog  # the checkpoint's artifact
+    log: QueryLog | None  # the checkpoint's encoded training state
+    running_sums: dict | None  # the checkpoint's ingestor running sums
+    deltas: list[BatchDelta]
+
+    def ingestor(self, **kwargs) -> IncrementalIngestor:
+        """An ingestor holding ``version`` as its writer held it.
+
+        Builds the ingestor over the checkpoint (``ValueError`` when it
+        cannot be ingested into, as :class:`IncrementalIngestor`
+        raises) and replays the records.  It takes ownership of
+        ``compressed``, so call this once.  *kwargs* go to the
+        ingestor (staleness threshold, seed, jobs).
+        """
+        ingestor = IncrementalIngestor(
+            self.compressed, self.log, running_sums=self.running_sums, **kwargs
+        )
+        for delta in self.deltas:
+            ingestor.replay(delta)
+        return ingestor
+
+
+@dataclass
+class _Journal:
+    """What one store instance last read of one journal file."""
+
+    size: int  # file size when read
+    end: int  # offset just past the last whole record
+    entries: list[ProfileVersion]
+
+
 class SummaryStore:
     """Versioned, multi-tenant persistence for compressed profiles.
 
@@ -202,22 +297,42 @@ class SummaryStore:
         self._manifest_path = self.root / "manifest.json"
         self._lock = threading.Lock()
         self._profiles_dir.mkdir(parents=True, exist_ok=True)
-        self._manifest = self._read_manifest()  # guarded-by: _lock
+        self._manifest: dict = {}  # guarded-by: _lock
+        self._manifest_bytes: bytes | None = None  # guarded-by: _lock
+        self._journals: dict[Path, _Journal] = {}  # guarded-by: _lock
+        with self._lock:
+            self._refresh_manifest()  # a corrupt manifest fails here
 
     # ------------------------------------------------------------------
     # manifest
     # ------------------------------------------------------------------
     def _refresh_manifest(self) -> dict:  # holds: _lock
-        """Re-read the manifest from disk.
+        """The manifest as it is on disk now.
 
         Another process may share the directory (``logr ingest`` while
         ``logr serve`` is running); trusting only the copy cached at
         construction would let the two silently overwrite each other's
         versions.  Concurrent *writers* are additionally serialized by
-        the advisory file lock in :meth:`save`.
+        the advisory file lock in :meth:`_writing`.  The file is read
+        every time but parsed only when its bytes changed, so checking
+        the latest version costs a journal append no JSON parse.
         """
-        self._manifest = self._read_manifest()
-        return self._manifest
+        try:
+            data = self._manifest_path.read_bytes()
+        except FileNotFoundError:
+            data = None
+        except OSError as exc:
+            raise StoreError(
+                f"store manifest {self._manifest_path} is unreadable: {exc}"
+            ) from exc
+        if data is not None and data == self._manifest_bytes:
+            return self._manifest
+        if data is None:
+            payload = {"format": _MANIFEST_FORMAT, "profiles": {}, "segments": {}}
+        else:
+            payload = _parse_manifest(data, self._manifest_path)
+        self._manifest, self._manifest_bytes = payload, data
+        return payload
 
     @contextlib.contextmanager
     def _file_lock(self):
@@ -238,23 +353,24 @@ class SummaryStore:
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
             handle.close()
 
-    def _read_manifest(self) -> dict:
-        if not self._manifest_path.exists():
-            return {"format": _MANIFEST_FORMAT, "profiles": {}, "segments": {}}
-        try:
-            payload = json.loads(self._manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StoreError(
-                f"store manifest {self._manifest_path} is unreadable: {exc}"
-            ) from exc
-        if not isinstance(payload, dict) or payload.get("format") != _MANIFEST_FORMAT:
-            raise StoreError(f"{self._manifest_path} is not a LogR store manifest")
-        # Stores written before the windowed layer have no segments key.
-        payload.setdefault("segments", {})
-        return payload
+    @contextlib.contextmanager
+    def _writing(self):
+        """Both write locks, yielding the current manifest.
+
+        A write that fails after changing the cached manifest drops the
+        cache, so the next read parses the file again.
+        """
+        with self._lock, self._file_lock():
+            try:
+                yield self._refresh_manifest()
+            except BaseException:
+                self._manifest_bytes = None
+                raise
 
     def _write_manifest(self) -> None:  # holds: _lock
-        _atomic_write(self._manifest_path, json.dumps(self._manifest, indent=1))
+        text = json.dumps(self._manifest, indent=1)
+        _atomic_write(self._manifest_path, text)
+        self._manifest_bytes = text.encode("utf-8")
 
     # ------------------------------------------------------------------
     # listing
@@ -270,19 +386,64 @@ class SummaryStore:
             return name in self._refresh_manifest()["profiles"]
 
     def versions(self, name: str) -> list[ProfileVersion]:
-        """All versions of *name*, oldest first."""
+        """All versions of *name*, checkpoints and journal records, oldest first."""
         with self._lock:
-            entry = self._refresh_manifest()["profiles"].get(name)
-        if entry is None:
-            raise StoreError(f"unknown profile {name!r}")
-        return [ProfileVersion.from_payload(name, v) for v in entry["versions"]]
+            merged = {}
+            for payload in self._checkpoints(name):
+                checkpoint = ProfileVersion.from_payload(name, payload)
+                merged[checkpoint.version] = checkpoint
+                for entry in self._journal(name, checkpoint.version).entries:
+                    merged.setdefault(entry.version, entry)
+        return [merged[version] for version in sorted(merged)]
 
     def latest(self, name: str) -> ProfileVersion:
         """The current (highest) version of *name*."""
-        return self.versions(name)[-1]
+        with self._lock:
+            return self._latest(name)
+
+    def _checkpoints(self, name: str) -> list[dict]:  # holds: _lock
+        """The manifest entries of *name*'s checkpoints, oldest first."""
+        entry = self._refresh_manifest()["profiles"].get(name)
+        if entry is None:
+            raise StoreError(f"unknown profile {name!r}")
+        return entry["versions"]
+
+    def _latest(self, name: str) -> ProfileVersion:  # holds: _lock
+        """The last record of the last checkpoint's journal, else that checkpoint.
+
+        Records only ever extend the newest checkpoint: an append whose
+        parent is not the latest version is refused.
+        """
+        checkpoint = ProfileVersion.from_payload(name, self._checkpoints(name)[-1])
+        entries = self._journal(name, checkpoint.version).entries
+        return entries[-1] if entries else checkpoint
+
+    def _journal(self, name: str, base: int) -> _Journal:  # holds: _lock
+        """The whole records of checkpoint *base*'s journal.
+
+        Re-read only when the file changed since this instance last
+        read it: records are only ever appended, so a file that had no
+        torn tail and kept its size is unchanged.
+        """
+        path = self._journal_path(name, base)
+        try:
+            size = path.stat().st_size
+        except FileNotFoundError:
+            size = 0
+        cached = self._journals.get(path)
+        if cached is not None and cached.size == size == cached.end:
+            return cached
+        end, payloads = _read_journal(path, base)
+        journal = _Journal(
+            size=size,
+            end=end,
+            entries=[ProfileVersion.from_payload(name, p) for p in payloads],
+        )
+        self._journals[path] = journal
+        return journal
 
     # ------------------------------------------------------------------
-    # save / load
+    # save / append / load
     # ------------------------------------------------------------------
     def save(
         self,
@@ -290,15 +451,28 @@ class SummaryStore:
         compressed: CompressedLog,
         log: QueryLog | None = None,
         note: str = "",
+        *,
+        running_sums: dict | None = None,
+        version: int | None = None,
     ) -> ProfileVersion:
-        """Persist *compressed* as the next version of profile *name*.
+        """Persist *compressed* as a checkpoint of profile *name*.
 
         When *log* (the encoded training log, aligned with
         ``compressed.labels``) is given it is stored alongside the
         artifact so the profile supports incremental ingestion and
-        threshold calibration after a restart.
+        threshold calibration after a restart; *running_sums* (an
+        :meth:`IncrementalIngestor.running_sums
+        <repro.service.ingest.IncrementalIngestor.running_sums>`, kept
+        in the checkpoint's manifest entry) let a reloaded ingestor
+        continue bit for bit.
+
+        By default the checkpoint is the next version.  With *version*
+        it checkpoints that journaled version in place, keeping its
+        summary entry; it must still be the latest version
+        (``StoreError`` otherwise), and one that already is a
+        checkpoint is left as it is.
         """
-        if not _NAME_RE.match(name):
+        if not valid_profile_name(name):
             raise ValueError(
                 f"profile name {name!r} must match {_NAME_RE.pattern}"
             )
@@ -317,36 +491,89 @@ class SummaryStore:
                     "CompressedLog handed to an IncrementalIngestor? the "
                     "ingestor owns it — save ingestor.compressed instead)"
                 )
-        payload: dict = {
-            "format": _PROFILE_FORMAT,
-            "artifact": compressed.to_payload(),
-            "state": None if log is None else _log_state_payload(log),
-        }
-        with self._lock, self._file_lock():
-            entry = self._refresh_manifest()["profiles"].setdefault(
-                name, {"versions": []}
-            )
-            version = 1 + max(
-                (int(v["version"]) for v in entry["versions"]), default=0
-            )
-            payload["version"] = version
-            directory = self._profiles_dir / name
-            directory.mkdir(parents=True, exist_ok=True)
-            _atomic_write(self._version_path(name, version), json.dumps(payload))
-            record = ProfileVersion(
-                name=name,
-                version=version,
-                created_at=time.time(),
-                error_bits=compressed.error,
-                verbosity=compressed.total_verbosity,
-                total_queries=compressed.mixture.total,
-                n_components=compressed.mixture.n_components,
-                has_state=log is not None,
-                note=note,
-            )
-            entry["versions"].append(record.to_payload())
-            self._write_manifest()
+        with _span("store.checkpoint", profile=name):
+            payload: dict = {
+                "format": _PROFILE_FORMAT,
+                "artifact": compressed.to_payload(),
+                "state": None if log is None else _log_state_payload(log),
+            }
+            with self._writing() as manifest:
+                entry = manifest["profiles"].setdefault(name, {"versions": []})
+                latest = self._latest(name) if entry["versions"] else None
+                if version is None:
+                    record = _summary(
+                        name,
+                        1 + (latest.version if latest else 0),
+                        compressed,
+                        has_state=log is not None,
+                        note=note,
+                    )
+                elif latest is None or latest.version != version:
+                    raise StoreError(
+                        f"profile {name!r} is not at version {version}"
+                    )
+                elif int(entry["versions"][-1]["version"]) == version:
+                    return latest
+                else:
+                    record = latest
+                payload["version"] = record.version
+                directory = self._profiles_dir / name
+                directory.mkdir(parents=True, exist_ok=True)
+                _atomic_write(
+                    self._version_path(name, record.version), json.dumps(payload)
+                )
+                listed = record.to_payload()
+                if running_sums is not None:
+                    listed["running_sums"] = running_sums
+                entry["versions"].append(listed)
+                self._write_manifest()
         _STORE_WRITES.inc(kind="profile")
+        return record
+
+    def append(
+        self,
+        name: str,
+        parent: int,
+        compressed: CompressedLog,
+        delta: BatchDelta,
+        note: str = "",
+    ) -> ProfileVersion | None:
+        """Journal one ingest as version ``parent + 1`` of *name*.
+
+        *delta* is the merge that took the profile from version
+        *parent* to *compressed*.  One write and one fsync; no version
+        file and no manifest.  Returns ``None`` and writes nothing when
+        *parent* is not the latest version (another writer saved since)
+        or the journal already holds :data:`CHECKPOINT_RECORDS` records:
+        then the caller must :meth:`save` a checkpoint instead.
+        """
+        with _span("store.append", profile=name):
+            with self._writing():
+                base = int(self._checkpoints(name)[-1]["version"])
+                journal = self._journal(name, base)
+                if (
+                    base + len(journal.entries) != parent
+                    or len(journal.entries) >= CHECKPOINT_RECORDS
+                ):
+                    return None
+                record = _summary(name, parent + 1, compressed, True, note)
+                body = json.dumps(
+                    {
+                        **record.to_payload(),
+                        "features": [
+                            _default_feature_codec(f) for f in delta.features
+                        ],
+                        "rows": [[list(row), count] for row, count in delta.rows],
+                    },
+                    separators=(",", ":"),
+                ).encode("utf-8")
+                frame = _FRAME.pack(len(body), zlib.crc32(body)) + body
+                path = self._journal_path(name, base)
+                _append(path, frame, keep=journal.end, new=journal.size == 0)
+                journal.end += len(frame)
+                journal.size = journal.end
+                journal.entries.append(record)
+        _STORE_WRITES.inc(kind="journal")
         return record
 
     def load(self, name: str, version: int | None = None) -> CompressedLog:
@@ -357,33 +584,71 @@ class SummaryStore:
     def load_state(
         self, name: str, version: int | None = None
     ) -> tuple[CompressedLog, QueryLog | None]:
-        """Load an artifact plus its encoded training state, if stored."""
-        payload = self._read_version(name, version)
+        """Load an artifact plus its encoded training state, if stored.
+
+        A journaled version is replayed on top of its checkpoint.
+        """
+        with self._lock:
+            base, payloads = self._locate(name, version)
+        if payloads:
+            ingestor = self.load_version(name, version).ingestor(
+                staleness_threshold=float("inf")
+            )
+            return ingestor.compressed, ingestor.log
+        payload = _read_store_file(
+            self._version_path(name, int(base["version"])),
+            _PROFILE_FORMAT,
+            "LogR profile",
+        )
+        _STORE_READS.inc(kind="profile")
         compressed = CompressedLog.from_payload(payload["artifact"])
         state = payload.get("state")
-        log = None
-        if state is not None:
-            if compressed.mixture.vocabulary is None:
-                raise StoreError(
-                    f"profile {name!r} stores state but no vocabulary"
-                )
-            log = _log_from_state(state, compressed.mixture.vocabulary)
-        return compressed, log
+        if state is None:
+            return compressed, None
+        if compressed.mixture.vocabulary is None:
+            raise StoreError(f"profile {name!r} stores state but no vocabulary")
+        return compressed, _log_from_state(state, compressed.mixture.vocabulary)
 
-    def _read_version(self, name: str, version: int | None) -> dict:
+    def load_version(self, name: str, version: int | None = None) -> StoredVersion:
+        """*version* (latest by default) as its checkpoint plus the
+        journal records from it up to *version*."""
+        with self._lock:
+            base, payloads = self._locate(name, version)
+        compressed, log = self.load_state(name, int(base["version"]))
+        return StoredVersion(
+            version=int(base["version"]) + len(payloads),
+            compressed=compressed,
+            log=log,
+            running_sums=base.get("running_sums"),
+            deltas=[_delta_from_payload(payload) for payload in payloads],
+        )
+
+    def _locate(
+        self, name: str, version: int | None
+    ) -> tuple[dict, list[dict]]:  # holds: _lock
+        """The manifest entry of the checkpoint at or below *version*
+        (latest by default), and the journal records from it up to
+        *version*."""
         if version is None:
-            version = self.latest(name).version
+            version = self._latest(name).version
+        for checkpoint in reversed(self._checkpoints(name)):
+            base = int(checkpoint["version"])
+            if base <= version:
+                break
         else:
-            known = {v.version for v in self.versions(name)}
-            if version not in known:
-                raise StoreError(f"profile {name!r} has no version {version}")
-        path = self._version_path(name, version)
-        payload = _read_store_file(path, _PROFILE_FORMAT, "LogR profile")
-        _STORE_READS.inc(kind="profile")
-        return payload
+            raise StoreError(f"profile {name!r} has no version {version}")
+        if version - base > len(self._journal(name, base).entries):
+            raise StoreError(f"profile {name!r} has no version {version}")
+        payloads: list[dict] = []
+        if version > base:
+            _, payloads = _read_journal(self._journal_path(name, base), base)
+        return checkpoint, payloads[: version - base]
 
     def _version_path(self, name: str, version: int) -> Path:
         return self._profiles_dir / name / f"v{version:06d}.json"
+
+    def _journal_path(self, name: str, base: int) -> Path:
+        return self._profiles_dir / name / f"j{base:06d}.log"
 
     # ------------------------------------------------------------------
     # pane segments (the windowed layer's append-only log)
@@ -418,12 +683,12 @@ class SummaryStore:
         recompression, which preserves the pane's identity and
         accounting).
         """
-        if not _NAME_RE.match(name):
+        if not valid_profile_name(name):
             raise ValueError(
                 f"profile name {name!r} must match {_NAME_RE.pattern}"
             )
-        with self._lock, self._file_lock():
-            entries = self._refresh_manifest()["segments"].setdefault(name, [])
+        with self._writing() as manifest:
+            entries = manifest["segments"].setdefault(name, [])
             index = 1 + max(
                 (int(entry["index"]) for entry in entries), default=-1
             )
@@ -494,8 +759,8 @@ class SummaryStore:
         statement counts, divergence) are preserved; only the summary
         content and its measures change, and ``recompressed`` is set.
         """
-        with self._lock, self._file_lock():
-            entries = self._refresh_manifest()["segments"].get(name, [])
+        with self._writing() as manifest:
+            entries = manifest["segments"].get(name, [])
             position = next(
                 (
                     i
@@ -560,6 +825,98 @@ def _read_store_file(path: Path, expected_format: str, kind: str) -> dict:
     if not isinstance(payload, dict) or payload.get("format") != expected_format:
         raise StoreError(f"{path} is not a {kind} file")
     return payload
+
+
+def _summary(
+    name: str, version: int, compressed: CompressedLog, has_state: bool, note: str
+) -> ProfileVersion:
+    """The index entry of *compressed* stored as *version*, created now."""
+    return ProfileVersion(
+        name=name,
+        version=version,
+        created_at=time.time(),
+        error_bits=compressed.error,
+        verbosity=compressed.total_verbosity,
+        total_queries=compressed.mixture.total,
+        n_components=compressed.mixture.n_components,
+        has_state=has_state,
+        note=note,
+    )
+
+
+def _parse_manifest(data: bytes, path: Path) -> dict:
+    try:
+        payload = json.loads(data)
+    except ValueError as exc:
+        raise StoreError(f"store manifest {path} is unreadable: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != _MANIFEST_FORMAT:
+        raise StoreError(f"{path} is not a LogR store manifest")
+    # Stores written before the windowed layer have no segments key.
+    payload.setdefault("segments", {})
+    return payload
+
+
+def _read_journal(path: Path, base: int) -> tuple[int, list[dict]]:
+    """The whole records of a journal: ``(end of the last one, payloads)``.
+
+    Stops at the first record that is cut short, fails its checksum,
+    is not a JSON object, or does not carry the next version after
+    checkpoint *base* — a torn tail from a crash mid-append.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return 0, []
+    payloads: list[dict] = []
+    end = 0
+    while end + _FRAME.size <= len(data):
+        length, crc = _FRAME.unpack_from(data, end)
+        body = data[end + _FRAME.size:end + _FRAME.size + length]
+        if len(body) != length or zlib.crc32(body) != crc:
+            break
+        try:
+            payload = json.loads(body)
+        except ValueError:
+            break
+        if (
+            not isinstance(payload, dict)
+            or payload.get("version") != base + len(payloads) + 1
+        ):
+            break
+        payloads.append(payload)
+        end += _FRAME.size + length
+    return end, payloads
+
+
+def _append(path: Path, frame: bytes, keep: int, new: bool) -> None:
+    """Append *frame* to *path* after cutting the file back to *keep* bytes.
+
+    One write and one fsync; a newly created file also fsyncs its
+    directory, so the entry survives a crash.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        if os.fstat(fd).st_size > keep:
+            os.ftruncate(fd, keep)  # a torn tail: records go after the prefix
+        view = memoryview(frame)
+        while view:
+            view = view[os.write(fd, view):]
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    if new:
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+
+
+def _delta_from_payload(payload: dict) -> BatchDelta:
+    return BatchDelta(
+        features=tuple(_default_feature_decoder(f) for f in payload["features"]),
+        rows=tuple((tuple(row), int(count)) for row, count in payload["rows"]),
+    )
 
 
 def _atomic_write(path: Path, text: str) -> None:

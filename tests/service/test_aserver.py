@@ -254,6 +254,51 @@ class TestMalformedStatements:
         assert store.latest("tpch").version == before
 
     @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("window_size", 10**12, "'window_size' must be an integer in [10, 100000]"),
+            ("window_size", 100_001, "'window_size' must be an integer in [10, 100000]"),
+            ("window_size", 9, "'window_size' must be an integer in [10, 100000]"),
+            ("window_size", 20.0, "'window_size' must be an integer in [10, 100000]"),
+            ("window_size", True, "'window_size' must be an integer in [10, 100000]"),
+            ("window_size", "20", "'window_size' must be an integer in [10, 100000]"),
+            ("top", -1, "'top' must be an integer at least 0"),
+            ("top", False, "'top' must be an integer at least 0"),
+            ("threshold", "nan", "'threshold' must be a finite number"),
+            ("threshold", "inf", "'threshold' must be a finite number"),
+            ("threshold", "-inf", "'threshold' must be a finite number"),
+            ("threshold", float("nan"), "'threshold' must be a finite number"),
+            ("threshold", float("inf"), "'threshold' must be a finite number"),
+            ("threshold", True, "'threshold' must be a finite number"),
+        ],
+    )
+    def test_drift_knobs_refused_alike(self, transports, field, value, error):
+        """``/drift``'s window size, ``top`` and threshold are checked
+        before the profile's drift monitor is calibrated under its lock."""
+        threaded, batched = transports
+        body = {"profile": "tpch", "statements": ["SELECT a FROM t"], field: value}
+        t_status, t_body, _ = _post_raw(threaded.url, "/drift", body)
+        a_status, a_body, _ = _post_raw(batched.url, "/drift", body)
+        assert t_status == 400, t_body
+        assert (a_status, a_body) == (t_status, t_body)
+        assert json.loads(t_body) == {"error": error}
+
+    @pytest.mark.parametrize("window_size", [10, 100_000])
+    def test_drift_window_bounds_accepted(self, transports, window_size):
+        threaded, batched = transports
+        body = {
+            "profile": "tpch",
+            "statements": ["SELECT a FROM t"],
+            "window_size": window_size,
+            "top": 0,
+            "threshold": 0.5,
+        }
+        t_status, t_body, _ = _post_raw(threaded.url, "/drift", body)
+        a_status, a_body, _ = _post_raw(batched.url, "/drift", body)
+        assert t_status == a_status == 200, (t_body, a_body)
+        assert json.loads(t_body)["top_features"] == []
+
+    @pytest.mark.parametrize(
         "method, path", [("PUT", "/score"), ("DELETE", "/profiles")]
     )
     def test_other_methods_get_the_core_404_and_close(

@@ -1,5 +1,6 @@
 """Tests for the analytics server and client, including concurrency."""
 
+import json
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -288,6 +289,27 @@ class TestIngestEndpoint:
                 client.ingest("refined", statements)
             assert excinfo.value.status == 400
             assert "refined" in excinfo.value.message
+
+
+class TestUnknownProfiles:
+    def test_unknown_names_leave_no_load_locks(self, tmp_path):
+        """Neither a name the store could hold nor one it never could
+        (too long, bad characters) leaves per-name state behind."""
+        service = AnalyticsService(SummaryStore(tmp_path / "store"))
+        names = [f"ghost-{i:04d}" for i in range(500)]
+        names += ["x" * 1024 + str(i) for i in range(250)]
+        names += [f"../{i}" for i in range(250)]
+        for name in names:
+            for path in ("/score", "/drift"):
+                _, answer = service.route("POST", path)
+                body = {"profile": name, "statements": ["SELECT a FROM t"]}
+                response = answer(json.dumps(body).encode())
+                assert response.status == 404, response.body
+                assert json.loads(response.body) == {
+                    "error": repr(f"unknown profile {name!r}")
+                }
+        assert service._load_locks == {}
+        assert list(service._cache) == []
 
 
 class TestConcurrentScoring:
