@@ -11,8 +11,12 @@ families), and shuts down.  Then, on both backends, the restart legs:
 ingest past one periodic journal checkpoint, and either shut down
 cleanly or abandon the server without ``shutdown()``; a new server
 over the same directory must list the same versions and answer a
-probe ``/score`` with the same bytes.  Exits non-zero on any failure;
-runtime is a few seconds so it fits the fast CI budget.
+probe ``/score`` with the same bytes.  Last, on both backends and a
+PocketData profile, the served alert threshold after a plain
+``/ingest``, one that grows the codebook and one that recompresses
+must equal, bit for bit, the dense eq. 1 calibration of the stored
+version.  Exits non-zero on any failure; runtime is a few seconds so
+it fits the fast CI budget.
 
 Run with::
 
@@ -29,7 +33,10 @@ import urllib.request
 
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.compress import LogRCompressor
+from repro.core.entropy import safe_log2
 from repro.obs import DEFAULT_REGISTRY
 from repro.obs.textfmt import render_text
 from repro.service import (
@@ -39,7 +46,7 @@ from repro.service import (
     SummaryStore,
 )
 from repro.service.store import CHECKPOINT_RECORDS
-from repro.workloads import generate_tpch
+from repro.workloads import generate_pocketdata, generate_tpch
 
 
 def parse_exposition(text: str) -> dict[str, float]:
@@ -188,6 +195,65 @@ def run_restart(backend: str, workload, log, compressed, clean: bool) -> None:
             server.shutdown()
 
 
+def dense_point_probabilities(mixture, matrix) -> np.ndarray:
+    """Eq. 1 over the whole vocabulary: every component multiplies all
+    ``n`` terms of every row, weighted terms summed in component order
+    (the likelihood kernel's oracle, as in the test suite)."""
+    total = np.zeros(matrix.shape[0])
+    for w, component in zip(mixture.weights, mixture.components):
+        p = component.encoding.marginals
+        total += w * np.prod(np.where(matrix > 0, p, 1 - p), axis=1)
+    return total
+
+
+def run_threshold(backend: str, workload, log, compressed, foreign) -> None:
+    """The served threshold is the dense calibration of the stored version.
+
+    After a plain ``/ingest`` of *workload*'s statements, one that grows
+    the codebook with *foreign* ones and one that recompresses,
+    ``/score`` must answer with the threshold an offline ``np.quantile``
+    over the dense scores of ``store.load_state`` at the served version
+    gives, bit for bit.
+    """
+    server_class = AsyncAnalyticsServer if backend == "async" else AnalyticsServer
+    own = list(workload.statements(shuffle=True, seed=4))
+    batches = [
+        ("plain", own[:40]),
+        ("new features", own[40:60] + foreign[:30]),
+        ("recompress", own[60:100] + foreign[30:60]),
+    ]
+    with tempfile.TemporaryDirectory() as root:
+        store = SummaryStore(root)
+        store.save("pocket", compressed, log)
+        server = server_class(store, port=0, staleness_threshold=float("inf"))
+        with server:
+            client = AnalyticsClient(server.url)
+            for kind, batch in batches:
+                # Force the staleness trigger for exactly one batch.
+                server._profile("pocket").ingestor.staleness_threshold = (
+                    -1.0 if kind == "recompress" else float("inf")
+                )
+                report = client.ingest("pocket", batch)["report"]
+                assert report["recompressed"] == (kind == "recompress"), report
+                if kind == "new features":
+                    assert report["n_new_features"] > 0, report
+                served = client.score("pocket", own[:1])
+                stored, stored_log = store.load_state("pocket", served["version"])
+                scores = safe_log2(
+                    dense_point_probabilities(stored.mixture, stored_log.matrix)
+                )
+                want = np.float64(
+                    np.quantile(
+                        np.repeat(scores, stored_log.counts),
+                        server.threshold_quantile,
+                    )
+                )
+                got = np.float64(served["threshold"])
+                assert got.view(np.uint64) == want.view(np.uint64), (
+                    backend, kind, got, want,
+                )
+
+
 def run_columnar_encode(workload) -> None:
     """Spill-mode encode smoke: telemetry families must reflect the run.
 
@@ -223,19 +289,31 @@ def main() -> int:
     workload = generate_tpch(total=1_000, variants_per_template=4, seed=0)
     log = workload.to_query_log()
     compressed = LogRCompressor(n_clusters=2, seed=0, n_init=2).compress(log)
+    # The threshold legs run on a PocketData profile: its components
+    # share features, so a row outside one component's support still
+    # scores under the others, and a kernel that got coverage wrong
+    # would move the quantile.
+    pocket = generate_pocketdata(total=3_000, n_distinct=80, seed=2)
+    pocket_log = pocket.to_query_log()
+    pocket_compressed = LogRCompressor(n_clusters=3, seed=0, n_init=2).compress(
+        pocket_log
+    )
+    foreign = list(workload.statements())
 
     for backend in ("threaded", "async"):
         run_backend(backend, workload, log, compressed)
         for clean in (True, False):
             run_restart(backend, workload, log, compressed, clean)
+        run_threshold(backend, pocket, pocket_log, pocket_compressed, foreign)
 
     run_columnar_encode(workload)
 
     print(
         "service smoke: PASS x2 backends (scored 100-query batch, "
         "ingested, v2 persisted, /metrics scrape verified; clean and "
-        "crash restarts past a journal checkpoint answer alike) "
-        "+ columnar encode telemetry"
+        "crash restarts past a journal checkpoint answer alike; served "
+        "threshold equals the dense calibration after plain, growing and "
+        "recompressing ingests) + columnar encode telemetry"
     )
     return 0
 

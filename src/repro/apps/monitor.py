@@ -21,6 +21,7 @@ import numpy as np
 from ..core.entropy import safe_log2
 from ..core.log import QueryLog
 from ..core.mixture import PatternMixtureEncoding
+from ..obs.trace import span as _span
 from ..sql import AligonExtractor, SqlError
 
 __all__ = ["QueryScore", "WorkloadMonitor"]
@@ -30,6 +31,35 @@ __all__ = ["QueryScore", "WorkloadMonitor"]
 #: over 605 distinct statements), so memoizing extraction makes
 #: steady-state scoring parse-free.
 PARSE_MEMO_SIZE = 4096
+
+
+def _repeated_quantile(values: np.ndarray, counts: np.ndarray, q: float) -> float:
+    """``np.quantile(np.repeat(values, counts), q)``, bit for bit, without
+    building the repeated array.
+
+    NumPy's default (linear) method over the ``N = Σ counts`` repeated
+    values: the virtual index ``(N - 1) · q``, its floor and the next
+    index (both clamped to the last element, with gamma still measured
+    from NumPy's clamped index -1), and ``_lerp``'s two branches.  The
+    cumulative counts of the sorted distinct values give the value at a
+    repeated index.
+    """
+    order = np.argsort(values, kind="stable")
+    ends = np.cumsum(counts[order])
+    last = int(ends[-1]) - 1
+    virtual = last * np.float64(q)
+    if virtual >= last:
+        below = above = last
+        gamma = virtual + 1.0
+    else:
+        below = int(np.floor(virtual))
+        above = below + 1
+        gamma = virtual - below
+    a, b = values[order[np.searchsorted(ends, (below, above), side="right")]]
+    difference = b - a
+    if gamma >= 0.5:
+        return float(b - difference * (1 - gamma))
+    return float(a + difference * gamma)
 
 
 @dataclass
@@ -67,6 +97,10 @@ class WorkloadMonitor:
     ):
         if mixture.vocabulary is None:
             raise ValueError("mixture has no vocabulary attached")
+        if not 0.0 <= threshold_quantile <= 1.0:  # NaN fails both
+            raise ValueError(
+                f"threshold quantile must lie in [0, 1], got {threshold_quantile}"
+            )
         self.mixture = mixture
         self._extractor = AligonExtractor(remove_constants=True)
         self._parse_cache: OrderedDict[str, frozenset | SqlError] = OrderedDict()
@@ -74,15 +108,19 @@ class WorkloadMonitor:
         if threshold is not None:
             self.threshold = float(threshold)
         elif training_log is not None:
-            scores = self._training_scores(training_log)
-            self.threshold = float(np.quantile(scores, threshold_quantile))
+            self.threshold = self._calibrate(training_log, threshold_quantile)
         else:
             raise ValueError("need either training_log or an explicit threshold")
 
-    def _training_scores(self, log: QueryLog) -> np.ndarray:
-        probabilities = self.mixture.point_probabilities(log.matrix)
-        scores = safe_log2(probabilities)
-        return np.repeat(scores, log.counts)
+    def _calibrate(self, log: QueryLog, quantile: float) -> float:
+        """The *quantile* of the training log's scores, one per query."""
+        with _span(
+            "monitor.calibrate",
+            rows=log.n_distinct,
+            components=self.mixture.n_components,
+        ):
+            scores = safe_log2(self.mixture.point_probabilities(log.matrix))
+            return _repeated_quantile(scores, log.counts, quantile)
 
     # ------------------------------------------------------------------
     def _extract_merged(self, sql: str) -> frozenset | SqlError:

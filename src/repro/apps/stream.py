@@ -32,7 +32,6 @@ from ..core.diff import mixture_divergence
 from ..core.featurecache import FeatureCache
 from ..core.log import LogBuilder, QueryLog
 from ..core.mixture import PatternMixtureEncoding
-from ..core.vocabulary import Vocabulary
 from ..sql import AligonExtractor, SqlError
 
 __all__ = ["WindowReport", "StreamingDriftMonitor"]
@@ -197,7 +196,7 @@ class StreamingDriftMonitor:
         window is pure garbage)."""
         if not encoded:
             return float("inf"), None
-        builder = LogBuilder(Vocabulary(self.baseline.vocabulary))
+        builder = LogBuilder(self.baseline.vocabulary.copy())
         for features in encoded:
             builder.add(features)
         mixture = PatternMixtureEncoding.from_log(builder.build())

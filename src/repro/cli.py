@@ -697,12 +697,15 @@ def _cmd_score(args) -> int:
             "no training state available to calibrate a threshold; "
             "pass --threshold"
         )
-    monitor = WorkloadMonitor(
-        compressed.mixture,
-        log,
-        threshold_quantile=args.quantile,
-        threshold=args.threshold,
-    )
+    try:
+        monitor = WorkloadMonitor(
+            compressed.mixture,
+            log,
+            threshold_quantile=args.quantile,
+            threshold=args.threshold,
+        )
+    except ValueError as exc:  # a --quantile outside [0, 1]
+        raise SystemExit(f"logr score: {exc}") from None
     statements = read_log(args.queries)
     anomalies = 0
     for result in monitor.score_batch(statements):

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .entropy import independent_entropy
+from .kernels import pack_rows
 from .log import QueryLog
 from .pattern import Pattern
 
@@ -146,10 +147,14 @@ class NaiveEncoding:
         # can never go stale.
         self.marginals = np.clip(marginals, 0.0, 1.0)
         self.marginals.flags.writeable = False
-        self._support = np.flatnonzero(self.marginals > 0)
+        in_support = self.marginals > 0
+        self._support = np.flatnonzero(in_support)
         self._support.flags.writeable = False
         self._present_terms = self.marginals[self._support]
         self._absent_terms = 1.0 - self._present_terms
+        # The features outside the support as packed row words: a row
+        # that carries any of them scores exactly 0.0.
+        self._outside = pack_rows(~in_support[None, :])[0]
 
     def __reduce__(self) -> tuple:
         # Rebuild through the constructor: unpickled arrays are writeable.
@@ -199,29 +204,31 @@ class NaiveEncoding:
         if present.shape != self.marginals.shape:
             raise ValueError("vector length must match feature count")
         present = present[None, :]
-        return float(self.support_products(present, present.sum(axis=1))[0])
+        return float(self.support_products(present, pack_rows(present))[0])
 
-    def support_products(
-        self, present: np.ndarray, n_present: np.ndarray
-    ) -> np.ndarray:
+    def support_products(self, present: np.ndarray, packed: np.ndarray) -> np.ndarray:
         """Eq. 1 for every row of a boolean ``(m, n)`` presence matrix.
 
-        *n_present* holds each row's count of present features.  Only
-        the support columns are multiplied, in ascending order, so a
-        row costs ``|S|`` terms instead of ``n``.  The result is bit
-        for bit the dense product over all ``n`` features: NumPy
-        multiplies a row left to right, a feature outside the support
-        is a factor of exactly 1.0 when absent (``x * 1.0 == x``), and
-        when present it is a factor of 0.0 that makes the whole product
-        +0.0 (every factor lies in [0, 1]).
+        *packed* is *present* packed by :func:`~repro.core.kernels.pack_rows`.
+        A row is *covered* when every feature it carries lies in the
+        support; one AND of its words with the cached outside-support
+        words decides that.  Only covered rows are multiplied, and only
+        over the support columns, in ascending order, so a batch costs
+        ``covered × |S|`` terms instead of ``m × n``; every other row is
+        +0.0.  The result is bit for bit the dense product over all
+        ``n`` features: NumPy multiplies a row left to right, a feature
+        outside the support is a factor of exactly 1.0 when absent
+        (``x * 1.0 == x``), and when present it is a factor of 0.0 that
+        makes the whole product +0.0 (every factor lies in [0, 1]).
         """
         if present.shape[1] != self.n_features:
             raise ValueError("matrix width must match feature count")
-        inside = np.take(present, self._support, axis=1)
-        products = np.multiply.reduce(
+        products = np.zeros(present.shape[0])
+        covered = ~(packed & self._outside).any(axis=1)
+        inside = np.take(present[covered], self._support, axis=1)
+        products[covered] = np.multiply.reduce(
             np.where(inside, self._present_terms, self._absent_terms), axis=1
         )
-        products[inside.sum(axis=1) != n_present] = 0.0
         return products
 
     def as_pattern_encoding(self) -> PatternEncoding:

@@ -90,26 +90,22 @@ def n_words(n_features: int) -> int:
 
 
 def pack_rows(matrix: np.ndarray) -> np.ndarray:
-    """Pack a ``(m, n)`` 0/1 matrix into ``(m, n_words(n))`` uint64 words."""
+    """Pack a ``(m, n)`` 0/1 matrix into ``(m, n_words(n))`` uint64 words.
+
+    Any non-zero entry is a set bit.  ``packbits`` with little bit order
+    puts column ``8j + b`` at bit ``b`` of byte ``j``; reading eight such
+    bytes as one little-endian word puts column ``i`` at bit ``i % 64``
+    of word ``i // 64``.
+    """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-D")
     m, n = matrix.shape
-    words = n_words(n)
-    packed = np.zeros((m, words), dtype=np.uint64)
-    if m == 0 or n == 0:
-        return packed
-    columns = np.arange(n)
-    word_of = columns >> 6
-    bit_of = (columns & 63).astype(np.uint64)
-    nonzero = matrix != 0
-    for w in range(words):
-        in_word = word_of == w
-        if not in_word.any():
-            continue
-        block = nonzero[:, in_word].astype(np.uint64)
-        packed[:, w] = np.bitwise_or.reduce(block << bit_of[in_word], axis=1)
-    return packed
+    buffer = np.zeros((m, n_words(n) * 8), dtype=np.uint8)
+    buffer[:, : (n + 7) // 8] = np.packbits(
+        matrix.astype(bool, copy=False), axis=1, bitorder="little"
+    )
+    return buffer.view("<u8").astype(np.uint64, copy=False)
 
 
 def pack_columns(matrix: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 from .encoding import NaiveEncoding, PatternEncoding
+from .kernels import pack_rows
 from .log import QueryLog
 from .maxent import maxent_entropy
 from .pattern import Pattern
@@ -442,22 +443,26 @@ class PatternMixtureEncoding:
     def point_probabilities(self, matrix: np.ndarray) -> np.ndarray:
         """Vectorized ``ρ_S(q)`` for a batch of encoded rows.
 
-        The likelihood kernel.  Each component multiplies only over its
-        own support (:meth:`NaiveEncoding.support_products`), so a batch
-        costs O(rows × Σ_i |S_i|) instead of O(rows × k × n), and the
-        weighted terms are summed in component order.  Every value is
-        bit-identical to the dense eq. 1 product over the whole
-        vocabulary, and each row is scored independently of the others.
+        The likelihood kernel.  The presence rows are packed once
+        (:func:`~repro.core.kernels.pack_rows`), and each component
+        multiplies only the rows its support covers, over its own
+        support columns (:meth:`NaiveEncoding.support_products`).  Past
+        the packing and one AND of the packed words per component, a
+        batch costs O(Σ_i covered_i × |S_i|) multiplications instead of
+        O(rows × k × n).  The weighted terms are summed in component
+        order.  Every value is bit-identical to the dense eq. 1 product
+        over the whole vocabulary, and each row is scored independently
+        of the others.
         """
         present = np.asarray(matrix) > 0
         if present.ndim != 2:
             raise ValueError("matrix must be 2-D (one encoded query per row)")
-        n_present = present.sum(axis=1)
+        packed = pack_rows(present)
         total = np.zeros(present.shape[0])
         for w, component in zip(self.weights, self.components):
             if not isinstance(component.encoding, NaiveEncoding):
                 raise TypeError("point probability requires naive components")
-            total += w * component.encoding.support_products(present, n_present)
+            total += w * component.encoding.support_products(present, packed)
         return total
 
     # ------------------------------------------------------------------

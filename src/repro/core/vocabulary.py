@@ -46,6 +46,13 @@ class Vocabulary:
                 vocab.add(feature)
         return vocab
 
+    def copy(self) -> "Vocabulary":
+        """An independent vocabulary with the same features and indices."""
+        clone = Vocabulary()
+        clone._index = dict(self._index)
+        clone._features = list(self._features)
+        return clone
+
     def add(self, feature: Hashable) -> int:
         """Intern *feature*, returning its index (existing or new)."""
         index = self._index.get(feature)

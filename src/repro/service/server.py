@@ -82,7 +82,6 @@ from ..core.compress import CompressedLog
 from ..core.diff import feature_drift
 from ..core.log import QueryLog
 from ..core.mixture import MixtureComponent, PatternMixtureEncoding
-from ..core.vocabulary import Vocabulary
 from ..obs import metrics as _metrics
 from ..obs.textfmt import CONTENT_TYPE as _METRICS_CONTENT_TYPE
 from ..obs.textfmt import render_text
@@ -131,7 +130,7 @@ def _snapshot_mixture(mixture: PatternMixtureEncoding) -> PatternMixtureEncoding
     could mix marginals from two different profile versions mid-batch.
     Encodings are shared: their marginals are read-only.
     """
-    vocabulary = Vocabulary(mixture.vocabulary) if mixture.vocabulary else None
+    vocabulary = mixture.vocabulary.copy() if mixture.vocabulary else None
     components = [
         MixtureComponent(
             size=component.size,

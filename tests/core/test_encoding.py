@@ -1,9 +1,12 @@
 """Tests for naive and pattern encodings."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.encoding import NaiveEncoding, PatternEncoding, naive_encoding
+from repro.core.kernels import pack_rows
 from repro.core.pattern import Pattern
 
 
@@ -55,6 +58,28 @@ class TestNaiveEncoding:
     def test_point_probability_length_check(self):
         with pytest.raises(ValueError):
             NaiveEncoding(np.array([0.5])).point_probability(np.array([1, 0]))
+
+    def test_support_products_multiplies_only_covered_rows(self):
+        encoding = NaiveEncoding(np.array([0.0, 0.25, 1.0, 0.0, 0.5]))
+        present = np.array(
+            [[0, 1, 1, 0, 0], [1, 1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 1, 1, 1]],
+            dtype=bool,
+        )
+        # Rows 1 and 3 carry features 0 and 3, outside the support.
+        got = encoding.support_products(present, pack_rows(present))
+        assert got.tolist() == [0.25 * 1.0 * 0.5, 0.0, 0.75 * 0.0 * 0.5, 0.0]
+        assert not np.signbit(got).any()
+
+    def test_pickle_rebuilds_the_outside_support_words(self):
+        encoding = NaiveEncoding(np.r_[np.zeros(70), 0.5, 0.0, 0.25])
+        restored = pickle.loads(pickle.dumps(encoding))
+        present = np.zeros((3, 73), dtype=bool)
+        present[0, [70, 72]] = True
+        present[1, [64, 70]] = True  # feature 64 lies outside the support
+        packed = pack_rows(present)
+        want = encoding.support_products(present, packed)
+        assert restored.support_products(present, packed).tobytes() == want.tobytes()
+        assert want.tolist() == [0.5 * 0.25, 0.0, 0.5 * 0.75]
 
 
 class TestPatternEncoding:

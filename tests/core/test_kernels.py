@@ -49,6 +49,36 @@ class TestPacking:
                 bit = (packed[row, col // 64] >> np.uint64(col % 64)) & np.uint64(1)
                 assert bool(bit) == bool(matrix[row, col])
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(0, 0), (0, 70), (3, 0), (5, 7), (4, 63), (4, 64), (6, 65), (3, 130)],
+    )
+    @pytest.mark.parametrize("dtype", ["uint8", "bool", "float"])
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+    def test_pack_rows_matches_per_bit_oracle(self, shape, dtype, layout):
+        m, n = shape
+        rng = np.random.default_rng(m * 1000 + n)
+        matrix = rng.random(shape) < 0.4
+        if dtype == "uint8":
+            matrix = matrix.astype(np.uint8)
+        elif dtype == "float":  # any non-zero value is a set bit
+            matrix = np.where(matrix, rng.choice([1.0, 0.5, -2.0], size=shape), 0.0)
+        if layout == "fortran":
+            matrix = np.asfortranarray(matrix)
+        elif layout == "strided":  # every other row and column of a junk base
+            base = np.ones((2 * m, 2 * n), dtype=matrix.dtype)
+            base[::2, ::2] = matrix
+            matrix = base[::2, ::2]
+        packed = kernels.pack_rows(matrix)
+        assert packed.dtype == np.uint64
+        assert packed.shape == (m, kernels.n_words(n))
+        want = np.zeros_like(packed)
+        for row in range(m):
+            for col in range(n):
+                if matrix[row, col] != 0:
+                    want[row, col // 64] |= np.uint64(1) << np.uint64(col % 64)
+        assert np.array_equal(packed, want)
+
     def test_pack_indices_matches_pack_rows(self):
         rng = np.random.default_rng(1)
         for _ in range(20):

@@ -42,6 +42,29 @@ class TestInterning:
         assert ("status = ?", "WHERE") in vocab
 
 
+class TestCopy:
+    def test_copy_has_equal_features_and_indices(self):
+        vocab = Vocabulary(["c", ("t", "FROM"), "a"])
+        clone = vocab.copy()
+        assert clone is not vocab
+        assert list(clone) == list(vocab)
+        assert [clone.index(f) for f in vocab] == [0, 1, 2]
+        assert clone.feature(1) == ("t", "FROM")
+
+    def test_adding_to_either_side_leaves_the_other_unchanged(self):
+        vocab = Vocabulary(["x", "y"])
+        clone = vocab.copy()
+        assert clone.add("z") == 2
+        assert len(vocab) == 2 and "z" not in vocab and vocab.get("z") is None
+        assert vocab.add("w") == 2
+        assert "w" not in clone and clone.feature(2) == "z"
+        assert list(vocab) == ["x", "y", "w"] and list(clone) == ["x", "y", "z"]
+
+    def test_copy_of_empty(self):
+        clone = Vocabulary().copy()
+        assert len(clone) == 0 and clone.add("a") == 0
+
+
 class TestEncoding:
     def test_encode_decode_roundtrip(self):
         vocab = Vocabulary(["a", "b", "c", "d"])

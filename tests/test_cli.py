@@ -276,6 +276,40 @@ class TestServiceCommands:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("quantile", ["1.5", "nan", "-0.1", "inf"])
+    def test_score_refuses_quantile_outside_unit_interval(
+        self, store_with_profile, log_file, quantile
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "score", str(log_file), "--store", str(store_with_profile),
+                    "--profile", "pocket", "--quantile", quantile,
+                ]
+            )
+        assert exc.value.code == (
+            f"logr score: threshold quantile must lie in [0, 1], got {float(quantile)}"
+        )
+
+    def test_score_bad_quantile_exits_one_without_traceback(
+        self, store_with_profile, log_file
+    ):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "score", str(log_file),
+                "--store", str(store_with_profile), "--profile", "pocket",
+                "--quantile", "1.5",
+            ],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "logr score: threshold quantile must lie in [0, 1], got 1.5"
+        ]
+        assert done.stdout == ""
+
     def test_score_requires_exactly_one_source(self, log_file):
         with pytest.raises(SystemExit):
             main(["score", str(log_file)])
