@@ -11,7 +11,9 @@ families), and shuts down.  Then, on both backends, the restart legs:
 ingest past one periodic journal checkpoint, and either shut down
 cleanly or abandon the server without ``shutdown()``; a new server
 over the same directory must list the same versions and answer a
-probe ``/score`` with the same bytes.  Last, on both backends and a
+probe ``/score`` with the same bytes, and every checkpoint file the
+leg wrote must be one gzip member holding a ``logr-profile-v1``
+payload.  Last, on both backends and a
 PocketData profile, the served alert threshold after a plain
 ``/ingest``, one that grows the codebook and one that recompresses
 must equal, bit for bit, the dense eq. 1 calibration of the stored
@@ -25,6 +27,7 @@ Run with::
 
 from __future__ import annotations
 
+import gzip
 import json
 import sys
 import tempfile
@@ -193,6 +196,21 @@ def run_restart(backend: str, workload, log, compressed, clean: bool) -> None:
             assert post_raw(restarted.url, "/score", probe) == scored
         if not clean:
             server.shutdown()
+        check_deflated_checkpoints(Path(root), "tpch")
+
+
+def check_deflated_checkpoints(root: Path, name: str) -> None:
+    """Every checkpoint file is one gzip member of a profile payload."""
+    paths = sorted((root / "profiles" / name).glob("v*.json"))
+    manifest = json.loads((root / "manifest.json").read_text())
+    listed = [v["version"] for v in manifest["profiles"][name]["versions"]]
+    assert [int(path.stem[1:]) for path in paths] == listed, (paths, listed)
+    for path in paths:
+        data = path.read_bytes()
+        assert data[:2] == b"\x1f\x8b", f"{path} is not gzip"
+        payload = json.loads(gzip.decompress(data))
+        assert payload["format"] == "logr-profile-v1", path
+        assert payload["version"] == int(path.stem[1:]), path
 
 
 def dense_point_probabilities(mixture, matrix) -> np.ndarray:
@@ -311,7 +329,8 @@ def main() -> int:
     print(
         "service smoke: PASS x2 backends (scored 100-query batch, "
         "ingested, v2 persisted, /metrics scrape verified; clean and "
-        "crash restarts past a journal checkpoint answer alike; served "
+        "crash restarts past a journal checkpoint answer alike, every "
+        "checkpoint deflated; served "
         "threshold equals the dense calibration after plain, growing and "
         "recompressing ingests) + columnar encode telemetry"
     )

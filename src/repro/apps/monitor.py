@@ -33,6 +33,12 @@ __all__ = ["QueryScore", "WorkloadMonitor"]
 PARSE_MEMO_SIZE = 4096
 
 
+def check_threshold_quantile(quantile: float) -> None:
+    """Refuse an alert-threshold quantile outside [0, 1] (or NaN)."""
+    if not 0.0 <= quantile <= 1.0:  # NaN fails both
+        raise ValueError(f"threshold quantile must lie in [0, 1], got {quantile}")
+
+
 def _repeated_quantile(values: np.ndarray, counts: np.ndarray, q: float) -> float:
     """``np.quantile(np.repeat(values, counts), q)``, bit for bit, without
     building the repeated array.
@@ -97,10 +103,7 @@ class WorkloadMonitor:
     ):
         if mixture.vocabulary is None:
             raise ValueError("mixture has no vocabulary attached")
-        if not 0.0 <= threshold_quantile <= 1.0:  # NaN fails both
-            raise ValueError(
-                f"threshold quantile must lie in [0, 1], got {threshold_quantile}"
-            )
+        check_threshold_quantile(threshold_quantile)
         self.mixture = mixture
         self._extractor = AligonExtractor(remove_constants=True)
         self._parse_cache: OrderedDict[str, frozenset | SqlError] = OrderedDict()

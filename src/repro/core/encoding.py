@@ -141,7 +141,9 @@ class NaiveEncoding:
         marginals = np.asarray(marginals, dtype=float)
         if marginals.ndim != 1:
             raise ValueError("marginals must be a vector")
-        if ((marginals < -1e-12) | (marginals > 1 + 1e-12)).any():
+        # Written as "all inside" so that NaN, which fails every
+        # comparison, is refused too.
+        if not ((marginals >= -1e-12) & (marginals <= 1 + 1e-12)).all():
             raise ValueError("marginals must lie in [0, 1]")
         # Read-only, so the support and its eq. 1 factors derived here
         # can never go stale.

@@ -76,7 +76,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .._clock import Stopwatch
-from ..apps.monitor import WorkloadMonitor
+from ..apps.monitor import WorkloadMonitor, check_threshold_quantile
 from ..apps.stream import StreamingDriftMonitor
 from ..core.compress import CompressedLog
 from ..core.diff import feature_drift
@@ -246,7 +246,8 @@ class AnalyticsService:
     Args:
         store: the profile store to serve (shared, thread-safe).
         cache_profiles: hot-profile LRU capacity.
-        threshold_quantile: anomaly calibration for scoring snapshots.
+        threshold_quantile: anomaly calibration for scoring snapshots,
+            in [0, 1] (``ValueError`` otherwise).
         staleness_threshold: Error drift (bits) before an ingest
             triggers full recompression.
         seed: RNG seed for recompression and drift calibration.
@@ -274,6 +275,9 @@ class AnalyticsService:
         pane_statements: int | None = None,
         pane_clusters: int = 4,
     ):
+        # Refused here, not on the first /score: a server setting must
+        # not surface as the client's 400.
+        check_threshold_quantile(threshold_quantile)
         self.store = store
         self.cache_profiles = cache_profiles
         self.threshold_quantile = threshold_quantile

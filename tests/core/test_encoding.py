@@ -46,6 +46,12 @@ class TestNaiveEncoding:
         with pytest.raises(ValueError):
             NaiveEncoding(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+    def test_non_finite_marginal_is_refused(self, bad):
+        # NaN fails both bounds of a range check written as "outside".
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            NaiveEncoding(np.array([bad, 0.5]))
+
     def test_as_pattern_encoding(self):
         encoding = NaiveEncoding(np.array([0.5, 0.0, 0.25]))
         explicit = encoding.as_pattern_encoding()

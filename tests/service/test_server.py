@@ -13,6 +13,7 @@ from repro.service import (
     AnalyticsClient,
     AnalyticsServer,
     AnalyticsService,
+    AsyncAnalyticsServer,
     ServiceError,
     SummaryStore,
 )
@@ -310,6 +311,32 @@ class TestUnknownProfiles:
                 }
         assert service._load_locks == {}
         assert list(service._cache) == []
+
+
+class TestThresholdQuantileSetting:
+    """A threshold quantile outside [0, 1] is a server setting error: it
+    is refused when the service is built, not blamed on the first
+    ``/score`` client with a 400."""
+
+    @pytest.mark.parametrize("quantile", [2.0, -0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "service_class", [AnalyticsService, AnalyticsServer, AsyncAnalyticsServer]
+    )
+    def test_refused_at_construction(self, tmp_path, service_class, quantile):
+        with pytest.raises(
+            ValueError, match=r"^threshold quantile must lie in \[0, 1\], got "
+        ):
+            service_class(SummaryStore(tmp_path / "store"), threshold_quantile=quantile)
+
+    @pytest.mark.parametrize("quantile", [0.0, 1.0])
+    def test_bounds_are_accepted_and_route_scores(self, served, quantile):
+        server, _, workload, _, _ = served
+        service = AnalyticsService(server.store, threshold_quantile=quantile)
+        _, answer = service.route("POST", "/score")
+        body = {"profile": "tpch", "statements": list(workload.statements())[:5]}
+        response = answer(json.dumps(body).encode())
+        assert response.status == 200, response.body
+        assert len(json.loads(response.body)["scores"]) == 5
 
 
 class TestConcurrentScoring:

@@ -9,6 +9,7 @@ files, segment files, and the manifest itself.
 
 from __future__ import annotations
 
+import gzip
 import json
 import os
 import threading
@@ -54,11 +55,14 @@ class TestKillBetweenWriteAndManifest:
         # The orphan v000002.json exists on disk but is unreferenced —
         # and it is *durably complete*: _atomic_write fsyncs the temp
         # file before the rename, so the crash window cannot surface a
-        # zero-length or torn file behind the rename.
+        # zero-length or torn file behind the rename.  It is one whole
+        # gzip member (gzip checks its CRC-32 and length).
         orphan = root / "profiles" / "pocket" / "v000002.json"
         assert orphan.exists()
         assert orphan.stat().st_size > 0
-        assert json.loads(orphan.read_text(encoding="utf-8"))["format"]
+        payload = json.loads(gzip.decompress(orphan.read_bytes()))
+        assert payload["format"] == "logr-profile-v1"
+        assert payload["version"] == 2
         reopened = SummaryStore(root)
         assert [v.version for v in reopened.versions("pocket")] == [1]
         with pytest.raises(StoreError):
@@ -121,8 +125,8 @@ class TestAtomicWriteDurability:
 
         monkeypatch.setattr(store_module.os, "fsync", recording_fsync)
         target = tmp_path / "out.json"
-        store_module._atomic_write(target, '{"format": "x"}')
-        assert target.read_text(encoding="utf-8") == '{"format": "x"}'
+        store_module._atomic_write(target, b'{"format": "x"}')
+        assert target.read_bytes() == b'{"format": "x"}'
         assert len(synced) >= 2  # once for the temp file, once for the dir
         assert not list(tmp_path.glob(".out.json.*"))  # no temp litter
 
@@ -135,7 +139,7 @@ class TestAtomicWriteDurability:
             lambda *a: (_ for _ in ()).throw(OSError("disk gone")),
         )
         with pytest.raises(OSError, match="disk gone"):
-            store_module._atomic_write(tmp_path / "out.json", "data")
+            store_module._atomic_write(tmp_path / "out.json", b"data")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -221,7 +225,7 @@ class TestCorruptionDetection:
         store = SummaryStore(root)
         store.save("pocket", compressed, log)
         path = root / "profiles" / "pocket" / "v000001.json"
-        path.write_text(path.read_text()[: 100])  # torn copy
+        path.write_bytes(path.read_bytes()[: 100])  # torn copy
         with pytest.raises(StoreError, match="corrupted"):
             SummaryStore(root).load("pocket")
 
