@@ -32,9 +32,10 @@ Determinism contract: for a fixed statement sequence and extractor
 configuration, ingestion through the cache ≡ the plain extractor run
 on every statement — identical ``QueryLog``s (same vocabulary order,
 same matrices, same counts) and reports.  The tests keep that plain
-loop as the oracle.  Statements the lexer rejects have no fingerprint;
-they are memoized by raw string instead, preserving error accounting
-exactly.
+loop as the oracle.  A statement has no fingerprint exactly when
+:func:`repro.sql.lexer.tokenize` rejects it, since both walk the one
+pattern :data:`repro.sql.lexer.TOKEN_RE`; such statements are memoized
+by raw string instead, preserving error accounting exactly.
 
 Thread safety: :class:`FeatureCache` serializes its map with a lock so
 it can be shared (e.g. across a server's pane ingestors).

@@ -69,6 +69,8 @@ journal records stay uncompressed (one append per ``/ingest``).
 Writes are atomic: version files and the manifest are written to a
 temp file in the target directory and ``os.replace``-d into place, so
 a crash mid-save can leave a stray temp file but never a torn profile.
+Checkpoints, segments, the manifest and journals are all created with
+mode 0o644 under the umask.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ import json
 import os
 import re
 import struct
-import tempfile
 import threading
 import time
 import zlib
@@ -140,6 +141,10 @@ _FRAME = struct.Struct("<II")
 
 #: The first bytes of a gzip member: a deflated version or segment file.
 _GZIP_MAGIC = b"\x1f\x8b"
+
+#: Permission bits checkpoints, segments, the manifest and journals are
+#: created with, under the umask.
+_FILE_MODE = 0o644
 
 
 class StoreError(KeyError):
@@ -945,7 +950,7 @@ def _append(path: Path, frame: bytes, keep: int, new: bool) -> None:
     the caller reports the ingest as failed, so its record must not be
     read back as a version.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, _FILE_MODE)
     try:
         if os.fstat(fd).st_size > keep:
             os.ftruncate(fd, keep)  # a torn tail: records go after the prefix
@@ -980,9 +985,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
     failure at any step removes the temp file; one at the directory
     fsync leaves the new file, complete, in place.
     """
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
-    )
+    fd, tmp_name = _create_temp(path)
     try:
         try:
             _write_all(fd, data)
@@ -995,6 +998,21 @@ def _atomic_write(path: Path, data: bytes) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)
         raise
+
+
+def _create_temp(path: Path) -> tuple[int, str]:
+    """Create and open a new temp file beside *path*.
+
+    ``tempfile.mkstemp`` would create it 0600, and ``os.replace`` keeps
+    that mode, so this creates it with :data:`_FILE_MODE` instead: a
+    checkpoint is as readable as the journal that replays on it.
+    """
+    while True:
+        name = str(path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp"))
+        try:
+            return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, _FILE_MODE), name
+        except FileExistsError:
+            continue
 
 
 def _write_all(fd: int, data: bytes) -> None:

@@ -9,10 +9,9 @@ arriving statement therefore wastes almost all of its work re-deriving
 a result the system has already computed.
 
 :func:`fingerprint` computes a stable *template key* for a raw SQL
-string in a single regex-driven pass over the same lexical grammar as
-:class:`repro.sql.lexer.Lexer` — identifiers, string/number literals,
-JDBC ``?`` parameters, line and block comments, the shared keyword and
-operator tables — without building token objects, an AST, or features.
+string in one fold over the matches of :data:`repro.sql.lexer.TOKEN_RE`,
+the pattern :func:`repro.sql.lexer.tokenize` folds into tokens, without
+building token objects, an AST, or features.
 Two statements receive the same fingerprint exactly when they lex to
 the same token stream modulo
 
@@ -47,8 +46,7 @@ function of the token stream.
 
 from __future__ import annotations
 
-import re
-
+from .lexer import TOKEN_RE, unquote
 from .tokens import KEYWORDS
 
 __all__ = ["fingerprint", "NUMBER_MASK", "STRING_MASK"]
@@ -57,30 +55,6 @@ __all__ = ["fingerprint", "NUMBER_MASK", "STRING_MASK"]
 #: which never contains a control character, can collide with them).
 NUMBER_MASK = "\x00N"
 STRING_MASK = "\x00S"
-
-#: One alternation per lexical rule, mirroring ``Lexer`` exactly:
-#: trivia first, then words, numbers (including ``.5`` forms, but never
-#: consuming the first dot of ``1..2`` — the lexer's qualified-name
-#: guard), strings/quoted identifiers with doubled-quote escapes, the
-#: multi-char operators longest-first, and the single-char table.  The
-#: ``ucomment`` branch catches an unterminated ``/*`` so it fails the
-#: fingerprint instead of degenerating into ``/`` ``*`` operator tokens.
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<trivia>[ \t\r\n]+|--[^\n]*)
-    | (?P<bcomment>/\*(?:[^*]|\*(?!/))*\*/)
-    | (?P<ucomment>/\*)
-    | (?P<word>[A-Za-z_][A-Za-z0-9_$\#]*)
-    | (?P<number>(?:[0-9]+(?:\.(?!\.)[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
-    | (?P<string>'(?:[^']|'')*')
-    | (?P<dquoted>"(?:[^"]|"")*")
-    | (?P<bquoted>`(?:[^`]|``)*`)
-    | (?P<operator><>|<=|>=|!=|\|\||[=<>+\-*/%])
-    | (?P<param>\?)
-    | (?P<punct>[(),.;])
-    """,
-    re.VERBOSE,
-)
 
 #: Keywords after which a NUMBER token is structural, not a data
 #: constant, and must stay verbatim in the key (see module docstring).
@@ -119,18 +93,13 @@ def fingerprint(sql: str, mask_literals: bool = True) -> str | None:
     out: list[str] = []
     previous = ""
     position = 0
-    length = len(sql)
-    match = _TOKEN_RE.match
-    while position < length:
-        m = match(sql, position)
-        if m is None:
+    for m in TOKEN_RE.finditer(sql):
+        if m.start() != position:
             return None  # a character the lexer would reject
         position = m.end()
         kind = m.lastgroup
-        if kind == "trivia" or kind == "bcomment":
+        if kind == "trivia":
             continue
-        if kind == "ucomment":
-            return None  # unterminated block comment
         if kind == "word":
             value = m.group()
             upper = value.upper()
@@ -138,6 +107,11 @@ def fingerprint(sql: str, mask_literals: bool = True) -> str | None:
                 token = "K:" + upper
             else:
                 token = "i:" + value
+        elif kind == "punct":
+            token = "p:" + m.group()
+        elif kind == "operator":
+            value = m.group()
+            token = "o:" + ("!=" if value == "<>" else value)
         elif kind == "number":
             if mask_literals and previous not in _UNMASKED_NUMBER_CONTEXT:
                 token = NUMBER_MASK
@@ -147,18 +121,15 @@ def fingerprint(sql: str, mask_literals: bool = True) -> str | None:
             if mask_literals:
                 token = STRING_MASK
             else:
-                token = "s:" + _escape(m.group()[1:-1].replace("''", "'"))
-        elif kind == "dquoted":
-            token = "i:" + _escape(m.group()[1:-1].replace('""', '"'))
-        elif kind == "bquoted":
-            token = "i:" + _escape(m.group()[1:-1].replace("``", "`"))
-        elif kind == "operator":
-            value = m.group()
-            token = "o:" + ("!=" if value == "<>" else value)
+                token = "s:" + _escape(unquote(m.group()))
+        elif kind == "quoted":
+            token = "i:" + _escape(unquote(m.group()))
         elif kind == "param":
             token = "?"
-        else:  # punct
-            token = "p:" + m.group()
+        else:  # ucomment: an unterminated block comment
+            return None
         out.append(token)
         previous = token
+    if position != len(sql):
+        return None
     return "\x1f".join(out)

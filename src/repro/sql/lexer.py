@@ -1,9 +1,14 @@
-"""A hand-written SQL tokenizer.
+"""The SQL lexical grammar and the tokenizer that folds over it.
 
 Supports the SQL subset used by the query logs the paper analyses:
 identifiers (bare, ``"quoted"``, and ``` `backtick` ``` styles), string
 and numeric literals, JDBC ``?`` parameters, line (``--``) and block
 (``/* */``) comments, and the usual operator/punctuation set.
+
+:data:`TOKEN_RE` states that grammar once.  :func:`tokenize` folds its
+matches into :class:`~repro.sql.tokens.Token` objects and
+:func:`repro.sql.fingerprint.fingerprint` folds the same matches into a
+template key, so the two always agree on where every token ends.
 
 The tokenizer is strict: any unconsumable character raises
 :class:`repro.sql.errors.LexError`, which log loaders treat as "query
@@ -13,183 +18,112 @@ statements from the US Bank log).
 
 from __future__ import annotations
 
+import re
+
 from .errors import LexError
-from .tokens import (
-    KEYWORDS,
-    MULTI_CHAR_OPERATORS,
-    SINGLE_CHAR_TOKENS,
-    Token,
-    TokenKind,
+from .tokens import KEYWORDS, Token, TokenKind
+
+__all__ = ["TOKEN_RE", "tokenize", "unquote"]
+
+#: One alternation per lexical rule, tried in order at each offset:
+#: trivia (whitespace, ``--`` and ``/* */`` comments) first, then words,
+#: numbers (including ``.5`` forms, but never consuming the first dot of
+#: ``1..2``), strings and quoted identifiers with doubled-quote escapes,
+#: the two-character operators before the one-character ones, ``?`` and
+#: punctuation.  ``ucomment`` catches an unterminated ``/*`` so it fails
+#: instead of lexing as the operators ``/`` ``*``.  The quoted forms are
+#: possessive: an unterminated one leaves its opening quote unmatched.
+TOKEN_RE = re.compile(
+    r"""
+      (?P<trivia>[ \t\r\n]+|--[^\n]*|/\*(?:[^*]|\*(?!/))*+\*/)
+    | (?P<ucomment>/\*)
+    | (?P<word>[A-Za-z_][A-Za-z0-9_$\#]*)
+    | (?P<number>(?:[0-9]+(?:\.(?!\.)[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (?P<string>'(?:[^']|'')*+')
+    | (?P<quoted>"(?:[^"]|"")*+"|`(?:[^`]|``)*+`)
+    | (?P<operator><>|<=|>=|!=|\|\||[=<>+\-*/%])
+    | (?P<param>\?)
+    | (?P<punct>[(),.;])
+    """,
+    re.VERBOSE,
 )
-
-__all__ = ["Lexer", "tokenize"]
-
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789$#")
-_DIGITS = frozenset("0123456789")
-
-
-class Lexer:
-    """Single-pass tokenizer over a SQL string."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-    def tokens(self) -> list[Token]:
-        """Tokenize the whole input, appending a trailing EOF token."""
-        out: list[Token] = []
-        while True:
-            token = self._next_token()
-            out.append(token)
-            if token.kind is TokenKind.EOF:
-                return out
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.pos, self.line, self.column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= len(self.text):
-            return ""
-        return self.text[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.text):
-                return
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _make(self, kind: TokenKind, value: str, position: int, line: int, column: int) -> Token:
-        return Token(kind, value, position, line, column)
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments."""
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise self._error("unterminated block comment")
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        position, line, column = self.pos, self.line, self.column
-        ch = self._peek()
-        if not ch:
-            return self._make(TokenKind.EOF, "", position, line, column)
-        if ch in _IDENT_START:
-            return self._lex_word(position, line, column)
-        if ch in _DIGITS:
-            return self._lex_number(position, line, column)
-        if ch == ".":
-            # Could be a qualified-name dot or the start of ``.5``.
-            if self._peek(1) in _DIGITS:
-                return self._lex_number(position, line, column)
-            self._advance()
-            return self._make(TokenKind.PUNCT, ".", position, line, column)
-        if ch == "'":
-            return self._lex_string(position, line, column)
-        if ch == '"' or ch == "`":
-            return self._lex_quoted_ident(ch, position, line, column)
-        for op in MULTI_CHAR_OPERATORS:
-            if self.text.startswith(op, self.pos):
-                self._advance(len(op))
-                value = "!=" if op == "<>" else op
-                return self._make(TokenKind.OPERATOR, value, position, line, column)
-        if ch in SINGLE_CHAR_TOKENS:
-            self._advance()
-            return self._make(SINGLE_CHAR_TOKENS[ch], ch, position, line, column)
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _lex_word(self, position: int, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek() in _IDENT_CONT:
-            self._advance()
-        word = self.text[start : self.pos]
-        upper = word.upper()
-        if upper in KEYWORDS:
-            return self._make(TokenKind.KEYWORD, upper, position, line, column)
-        return self._make(TokenKind.IDENT, word, position, line, column)
-
-    def _lex_number(self, position: int, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek() in _DIGITS:
-            self._advance()
-        if self._peek() == "." and self._peek(1) != ".":
-            self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        if self._peek() in ("e", "E"):
-            lookahead = 1
-            if self._peek(1) in ("+", "-"):
-                lookahead = 2
-            if self._peek(lookahead) in _DIGITS:
-                self._advance(lookahead)
-                while self._peek() in _DIGITS:
-                    self._advance()
-        return self._make(TokenKind.NUMBER, self.text[start : self.pos], position, line, column)
-
-    def _lex_string(self, position: int, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        parts: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch:
-                raise self._error("unterminated string literal")
-            if ch == "'":
-                if self._peek(1) == "'":  # escaped quote ''
-                    parts.append("'")
-                    self._advance(2)
-                    continue
-                self._advance()
-                return self._make(TokenKind.STRING, "".join(parts), position, line, column)
-            parts.append(ch)
-            self._advance()
-
-    def _lex_quoted_ident(self, quote: str, position: int, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        parts: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch:
-                raise self._error("unterminated quoted identifier")
-            if ch == quote:
-                if self._peek(1) == quote:
-                    parts.append(quote)
-                    self._advance(2)
-                    continue
-                self._advance()
-                return self._make(TokenKind.IDENT, "".join(parts), position, line, column)
-            parts.append(ch)
-            self._advance()
 
 
 def tokenize(text: str) -> list[Token]:
-    """Tokenize *text* and return the token list (EOF-terminated)."""
-    return Lexer(text).tokens()
+    """Tokenize *text* and return the token list (EOF-terminated).
+
+    Lines and columns are 1-based and count every newline consumed,
+    including those inside strings, quoted identifiers and comments.
+    An unterminated string, quoted identifier or block comment is
+    reported at the end of *text*; any other character outside the
+    grammar at its own offset.
+    """
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    position = 0
+    for m in TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != position:
+            raise _unmatched(text, position)
+        position = m.end()
+        kind = m.lastgroup
+        value = m.group()
+        if kind != "trivia":
+            column = start - line_start + 1
+            if kind == "word":
+                upper = value.upper()
+                if upper in KEYWORDS:
+                    append(Token(TokenKind.KEYWORD, upper, start, line, column))
+                else:
+                    append(Token(TokenKind.IDENT, value, start, line, column))
+            elif kind == "punct":
+                append(Token(TokenKind.PUNCT, value, start, line, column))
+            elif kind == "operator":
+                operator = "!=" if value == "<>" else value
+                append(Token(TokenKind.OPERATOR, operator, start, line, column))
+            elif kind == "number":
+                append(Token(TokenKind.NUMBER, value, start, line, column))
+            elif kind == "string":
+                append(Token(TokenKind.STRING, unquote(value), start, line, column))
+            elif kind == "quoted":
+                append(Token(TokenKind.IDENT, unquote(value), start, line, column))
+            elif kind == "param":
+                append(Token(TokenKind.PARAM, value, start, line, column))
+            else:  # ucomment
+                raise _error(text, "unterminated block comment", len(text))
+        if "\n" in value:
+            line += value.count("\n")
+            line_start = start + value.rindex("\n") + 1
+    if position != len(text):
+        raise _unmatched(text, position)
+    append(Token(TokenKind.EOF, "", position, line, position - line_start + 1))
+    return tokens
+
+
+def unquote(literal: str) -> str:
+    """The text of a matched string or quoted identifier: its quotes
+    dropped and each doubled quote inside undone."""
+    quote = literal[0]
+    return literal[1:-1].replace(quote + quote, quote)
+
+
+def _unmatched(text: str, position: int) -> LexError:
+    """The error for the character at *position*, which no rule matches.
+
+    An opening quote is unmatched only when its literal never closes,
+    and the error then points at the end of *text*, where a scan for the
+    closing quote would give up.
+    """
+    char = text[position]
+    if char == "'":
+        return _error(text, "unterminated string literal", len(text))
+    if char == '"' or char == "`":
+        return _error(text, "unterminated quoted identifier", len(text))
+    return _error(text, f"unexpected character {char!r}", position)
+
+
+def _error(text: str, message: str, position: int) -> LexError:
+    """A :class:`LexError` at *position*, with its line and column."""
+    line = text.count("\n", 0, position) + 1
+    return LexError(message, position, line, position - text.rfind("\n", 0, position))

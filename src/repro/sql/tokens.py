@@ -10,11 +10,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["TokenKind", "Token", "KEYWORDS", "MULTI_CHAR_OPERATORS", "SINGLE_CHAR_TOKENS"]
+__all__ = ["TokenKind", "Token", "KEYWORDS"]
 
 
 class TokenKind(enum.Enum):
-    """Lexical categories recognised by :class:`repro.sql.lexer.Lexer`."""
+    """Lexical categories recognised by :func:`repro.sql.lexer.tokenize`."""
 
     KEYWORD = "keyword"
     IDENT = "ident"
@@ -38,27 +38,6 @@ KEYWORDS = frozenset(
         "CAST", "TRUE", "FALSE", "INTERSECT", "EXCEPT",
     }
 )
-
-#: Operators longer than one character, tried longest-first.
-MULTI_CHAR_OPERATORS = ("<>", "<=", ">=", "!=", "||")
-
-#: Single characters that map directly to a token.
-SINGLE_CHAR_TOKENS = {
-    "(": TokenKind.PUNCT,
-    ")": TokenKind.PUNCT,
-    ",": TokenKind.PUNCT,
-    ".": TokenKind.PUNCT,
-    ";": TokenKind.PUNCT,
-    "=": TokenKind.OPERATOR,
-    "<": TokenKind.OPERATOR,
-    ">": TokenKind.OPERATOR,
-    "+": TokenKind.OPERATOR,
-    "-": TokenKind.OPERATOR,
-    "*": TokenKind.OPERATOR,
-    "/": TokenKind.OPERATOR,
-    "%": TokenKind.OPERATOR,
-    "?": TokenKind.PARAM,
-}
 
 
 @dataclass(frozen=True)

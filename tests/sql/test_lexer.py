@@ -119,3 +119,52 @@ class TestTrivia:
     def test_unexpected_character_raises(self):
         with pytest.raises(LexError):
             tokenize("a ^ b")
+
+
+class TestPositions:
+    """Lines and columns count every newline consumed, not only trivia's."""
+
+    @pytest.mark.parametrize(
+        "text,value,position,line,column",
+        [
+            ("'a\nb' c", "c", 6, 2, 4),  # inside a string literal
+            ('"x\ny" z', "z", 6, 2, 4),  # inside a quoted identifier
+            ("`p\nq` r", "r", 6, 2, 4),  # inside a backtick identifier
+            ("a /* x \n y */ b", "b", 14, 2, 7),  # inside a block comment
+            ("x -- c\n  y", "y", 9, 2, 3),  # ending a line comment
+            ("a\r\nb", "b", 3, 2, 1),  # \r is a column, \n the new line
+        ],
+    )
+    def test_token_after_a_newline(self, text, value, position, line, column):
+        token = tokenize(text)[-2]
+        assert (token.value, token.position, token.line, token.column) == (
+            value, position, line, column,
+        )
+
+    def test_literal_spanning_lines_keeps_its_start(self):
+        token = tokenize("a\n 'b\nc'")[1]
+        assert (token.value, token.position, token.line, token.column) == ("b\nc", 3, 2, 2)
+
+    def test_eof_sits_after_the_last_character(self):
+        eof = tokenize("a\n'b\nc' ")[-1]
+        assert (eof.kind, eof.position, eof.line, eof.column) == (TokenKind.EOF, 8, 3, 4)
+
+    @pytest.mark.parametrize(
+        "text,message,position,line,column",
+        [
+            # Unterminated literals and comments are reported at the end
+            # of the text, where a scan for their closing delimiter ends.
+            ("a 'b\nc", "unterminated string literal", 6, 2, 2),
+            ('a "b\ncd', "unterminated quoted identifier", 7, 2, 3),
+            ("a\n`b", "unterminated quoted identifier", 4, 2, 3),
+            ("a /* x\n y", "unterminated block comment", 9, 2, 3),
+            # Any other character outside the grammar at its own offset.
+            ("a\n  ^ b", "unexpected character '^'", 4, 2, 3),
+        ],
+    )
+    def test_lex_error_location(self, text, message, position, line, column):
+        with pytest.raises(LexError) as caught:
+            tokenize(text)
+        error = caught.value
+        assert str(error) == f"{message} (line {line}, column {column})"
+        assert (error.position, error.line, error.column) == (position, line, column)
